@@ -42,9 +42,6 @@ class GeometryParams:
     p1: float
     p2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2], dtype=float)
-
 
 @dataclass(frozen=True)
 class BeamSpec:

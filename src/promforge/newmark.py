@@ -41,6 +41,7 @@ class TimeHistory:
     velocity: np.ndarray
     acceleration: np.ndarray
     kind: str = ""
+    # per step: "newton_corrections" (int) and the final "residual_norm"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -81,6 +82,9 @@ def newmark_integrate(
 
     c0 = 1.0 / (beta * dt**2)
     c1 = gamma / (beta * dt)
+    lhs = c0 * model.mass + c1 * model.damping  # Newton Jacobian minus the tangent
+    corrections = np.zeros(n_steps, dtype=np.int64)
+    residuals = np.zeros(n_steps)
     for k in range(n_steps):
         t_new = time[k + 1]
         p_new = model.load(t_new)
@@ -89,7 +93,7 @@ def newmark_integrate(
 
         q_new = q_pred + dt**2 * beta * a[k]  # constant-acceleration start
         converged = False
-        for _ in range(newton_max_iterations):
+        for it in range(newton_max_iterations):
             a_new = c0 * (q_new - q_pred)
             v_new = v_pred + gamma * dt * a_new
             f_int = model.force(q_new)
@@ -102,10 +106,11 @@ def newmark_integrate(
                 np.linalg.norm(inertia),
                 np.linalg.norm(damping),
             )
-            if np.linalg.norm(r) <= newton_tol_abs + newton_tol_rel * max(ref, 1e-30):
+            r_norm = np.linalg.norm(r)
+            if r_norm <= newton_tol_abs + newton_tol_rel * max(ref, 1e-30):
                 converged = True
                 break
-            jac = c0 * model.mass + c1 * model.damping + model.tangent(q_new)
+            jac = lhs + model.tangent(q_new)
             dq = np.linalg.solve(jac, r)
             q_new = q_new - dq
             if not np.all(np.isfinite(q_new)):
@@ -113,11 +118,16 @@ def newmark_integrate(
         if not converged:
             raise NonConvergenceError(
                 f"Newmark Newton iteration diverged at step {k + 1} (t = {t_new:.6g})",
-                residual=float(np.linalg.norm(r)),
+                residual=float(r_norm),
                 context={"step": k + 1, "time": t_new},
             )
+        corrections[k] = it
+        residuals[k] = r_norm
         q[k + 1] = q_new
         v[k + 1] = v_pred + gamma * dt * c0 * (q_new - q_pred)
         a[k + 1] = c0 * (q_new - q_pred)
 
-    return TimeHistory(time=time, displacement=q, velocity=v, acceleration=a, kind=kind)
+    return TimeHistory(
+        time=time, displacement=q, velocity=v, acceleration=a, kind=kind,
+        meta={"newton_corrections": corrections, "residual_norm": residuals},
+    )

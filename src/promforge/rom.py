@@ -2,12 +2,14 @@
 
 A ROM is the reduction basis plus diagonal reduced mass (identity by
 construction), diagonal linear stiffness, unique-entry quadratic/cubic
-tensors, and the two Rayleigh damping coefficients.
+tensors, and the two Rayleigh damping coefficients.  The force and tangent
+contract the dense tensors, expanded on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,14 +66,24 @@ class RomOperators:
     def omegas(self) -> np.ndarray:
         return np.sqrt(self.k1_diag)
 
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """Dense quadratic tensor (m, m, m), expanded on first use."""
+        return self.tensors.k2_full()
+
+    @cached_property
+    def k3(self) -> np.ndarray:
+        """Dense cubic tensor (m, m, m, m), expanded on first use."""
+        return self.tensors.k3_full()
+
 
 def reduced_force(ops: RomOperators, eta) -> np.ndarray:
     """Cubic restoring force in reduced coordinates."""
     eta = np.asarray(eta, dtype=float)
     return (
         ops.k1_diag * eta
-        + force_quadratic(ops.tensors.k2_unique, eta)
-        + force_cubic(ops.tensors.k3_unique, eta)
+        + force_quadratic(ops.k2, eta)
+        + force_cubic(ops.k3, eta)
     )
 
 
@@ -80,8 +92,8 @@ def reduced_tangent(ops: RomOperators, eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     return (
         np.diag(ops.k1_diag)
-        + 2.0 * tangent_quadratic(ops.tensors.k2_unique, eta)
-        + 3.0 * tangent_cubic(ops.tensors.k3_unique, eta)
+        + 2.0 * tangent_quadratic(ops.k2, eta)
+        + 3.0 * tangent_cubic(ops.k3, eta)
     )
 
 
@@ -118,8 +130,10 @@ def rom_model(ops: RomOperators, load_fn) -> ImplicitModel:
     """Wrap the ROM in the shared integration contract.
 
     `load_fn` maps time to the full-order load vector; it is projected on
-    the basis here.
+    the basis here.  The model integrates a private copy of `ops`, so its
+    dense tensors are freed with the model instead of staying on `ops`.
     """
+    ops = replace(ops)
     vt = ops.basis.T
     damping = np.diag(assemble_damping(ops))
     return ImplicitModel(

@@ -1,15 +1,17 @@
-"""Unique-entry storage and contraction for fully symmetric tensors.
+"""Unique-entry storage and dense contraction for fully symmetric tensors.
 
-Cubic and quartic stiffness tensors are symmetric in all indices, so only
-entries with sorted indices are stored.  Contractions (reduced force and
-tangent) run off precomputed index/multiplicity tables per tensor size.
+Cubic and quartic stiffness tensors are symmetric in all indices, so
+identification, persistence and interpolation store only the entries with
+sorted indices.  At run time a reduced model expands them once into the
+full tensor (one gather, :func:`full_from_unique`), and the reduced force
+and tangent contract that dense tensor with one 2-D mat-vec per index.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -38,9 +40,15 @@ def sorted_multi_indices(m: int, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _index_lookup(m: int, order: int) -> dict:
-    idx = sorted_multi_indices(m, order)
-    return {tuple(row): k for k, row in enumerate(idx)}
+def _unique_position(m: int, order: int) -> np.ndarray:
+    """Unique-entry position of every full-tensor index, shaped (m,) * order."""
+    weights = m ** np.arange(order - 1, -1, -1)
+    codes = weights @ np.sort(np.indices((m,) * order).reshape(order, -1), axis=0)
+    # sorted tuples come in lexicographic order, so their base-m codes ascend
+    position = np.searchsorted(sorted_multi_indices(m, order) @ weights, codes)
+    position = position.reshape((m,) * order)
+    position.setflags(write=False)
+    return position
 
 
 def unique_from_full(full: np.ndarray) -> np.ndarray:
@@ -56,11 +64,7 @@ def full_from_unique(values: np.ndarray, m: int, order: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size != n_unique(m, order):
         raise ValueError("unique-entry vector has wrong length")
-    full = np.zeros((m,) * order)
-    idx = sorted_multi_indices(m, order)
-    for perm in set(permutations(range(order))):
-        full[tuple(idx[:, k] for k in perm)] = values
-    return full
+    return values[_unique_position(m, order)]
 
 
 def symmetrize_full(full: np.ndarray) -> tuple[np.ndarray, float]:
@@ -73,108 +77,30 @@ def symmetrize_full(full: np.ndarray) -> tuple[np.ndarray, float]:
     return sym, asym
 
 
-def _rest_weight(rest: tuple) -> float:
-    """Number of distinct orderings of the remaining index multiset."""
-    counts = {}
-    for r in rest:
-        counts[r] = counts.get(r, 0) + 1
-    w = factorial(len(rest))
-    for c in counts.values():
-        w //= factorial(c)
-    return float(w)
+def _contract(tensor: np.ndarray, eta: np.ndarray, times: int) -> np.ndarray:
+    """Contract the trailing `times` indices of `tensor` with eta, one 2-D mat-vec each."""
+    m = tensor.shape[0]
+    out = tensor
+    for _ in range(times):
+        out = out.reshape(-1, m) @ eta
+    return out.reshape((m,) * (tensor.ndim - times))
 
 
-def _remove_one(t: tuple, value) -> tuple:
-    out = list(t)
-    out.remove(value)
-    return tuple(out)
+def force_quadratic(k2: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """f_a = K2_{ajk} eta_j eta_k from the full (m, m, m) tensor."""
+    return _contract(k2, eta, 2)
 
 
-@lru_cache(maxsize=None)
-def _force_tables(m: int, order: int):
-    """Rows (entry, out a, weight, remaining indices) for f_a = T_{a...} eta...eta."""
-    idx = sorted_multi_indices(m, order)
-    entry, out, weight, rest_cols = [], [], [], []
-    for e, row in enumerate(map(tuple, idx)):
-        for a in sorted(set(row)):
-            rest = _remove_one(row, a)
-            entry.append(e)
-            out.append(a)
-            weight.append(_rest_weight(rest))
-            rest_cols.append(rest)
-    return (
-        np.array(entry, dtype=np.int64),
-        np.array(out, dtype=np.int64),
-        np.array(weight),
-        np.array(rest_cols, dtype=np.int64),
-    )
+def force_cubic(k3: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """f_a = K3_{ajkl} eta_j eta_k eta_l from the full (m, m, m, m) tensor."""
+    return _contract(k3, eta, 3)
 
 
-@lru_cache(maxsize=None)
-def _tangent_tables(m: int, order: int):
-    """Rows (entry, a, b, weight, remaining indices) for J_ab = T_{ab...} eta...eta."""
-    idx = sorted_multi_indices(m, order)
-    entry, out_a, out_b, weight, rest_cols = [], [], [], [], []
-    for e, row in enumerate(map(tuple, idx)):
-        seen = set()
-        for a in set(row):
-            rest_a = _remove_one(row, a)
-            for b in set(rest_a):
-                if (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                rest = _remove_one(rest_a, b)
-                entry.append(e)
-                out_a.append(a)
-                out_b.append(b)
-                weight.append(_rest_weight(rest))
-                rest_cols.append(rest)
-    return (
-        np.array(entry, dtype=np.int64),
-        np.array(out_a, dtype=np.int64),
-        np.array(out_b, dtype=np.int64),
-        np.array(weight),
-        np.array(rest_cols, dtype=np.int64),
-    )
-
-
-def _eta_product(eta: np.ndarray, rest_cols: np.ndarray) -> np.ndarray:
-    if rest_cols.size == 0:
-        return np.ones(rest_cols.shape[0])
-    return np.prod(eta[rest_cols], axis=1)
-
-
-def force_quadratic(values: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """f_a = K2_{ajk} eta_j eta_k from unique entries of the cubic-order tensor."""
-    m = eta.size
-    entry, out, weight, rest = _force_tables(m, 3)
-    f = np.zeros(m)
-    np.add.at(f, out, weight * values[entry] * _eta_product(eta, rest))
-    return f
-
-
-def force_cubic(values: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """f_a = K3_{ajkl} eta_j eta_k eta_l from unique entries."""
-    m = eta.size
-    entry, out, weight, rest = _force_tables(m, 4)
-    f = np.zeros(m)
-    np.add.at(f, out, weight * values[entry] * _eta_product(eta, rest))
-    return f
-
-
-def tangent_quadratic(values: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def tangent_quadratic(k2: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """d/d eta of :func:`force_quadratic` divided by 2: K2_{abk} eta_k."""
-    m = eta.size
-    entry, a, b, weight, rest = _tangent_tables(m, 3)
-    out = np.zeros((m, m))
-    np.add.at(out.reshape(-1), a * m + b, weight * values[entry] * _eta_product(eta, rest))
-    return out
+    return _contract(k2, eta, 1)
 
 
-def tangent_cubic(values: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """K3_{abkl} eta_k eta_l from unique entries."""
-    m = eta.size
-    entry, a, b, weight, rest = _tangent_tables(m, 4)
-    out = np.zeros((m, m))
-    np.add.at(out.reshape(-1), a * m + b, weight * values[entry] * _eta_product(eta, rest))
-    return out
+def tangent_cubic(k3: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """d/d eta of :func:`force_cubic` divided by 3: K3_{abkl} eta_k eta_l."""
+    return _contract(k3, eta, 2)

@@ -15,6 +15,7 @@ from promforge.rom import (
     reduced_tangent,
     rom_model,
 )
+from promforge.sym_tensor import n_unique
 from promforge.tensor_id import IdentifiedTensors, identify_eed, plan_scales
 
 
@@ -254,6 +255,35 @@ def test_newmark_matches_modal_closed_form():
     )
     err = np.linalg.norm(hist.displacement - exact) / np.linalg.norm(exact)
     assert err < 0.01
+
+
+def test_newmark_meta_records_newton_work():
+    m = 3
+    rng = np.random.default_rng(11)
+    tensors = IdentifiedTensors(
+        m=m,
+        k2_unique=rng.standard_normal(n_unique(m, 3)),
+        k3_unique=np.abs(rng.standard_normal(n_unique(m, 4))),
+        method="direct",
+    )
+    ops = RomOperators(
+        basis=np.eye(m), k1_diag=np.array([1.0, 4.0, 9.0]), tensors=tensors,
+        alpha=0.01, beta=0.001,
+    )
+
+    def run():
+        model = rom_model(ops, lambda t: np.array([2.0, 1.0, 0.5]) * np.sin(3.0 * t))
+        return newmark_integrate(model, t_span=2.0, dt=0.05, kind="rom")
+
+    first, second = run(), run()
+    steps = first.time.size - 1
+    corrections = first.meta["newton_corrections"]
+    assert corrections.dtype.kind == "i" and corrections.shape == (steps,)
+    assert first.meta["residual_norm"].shape == (steps,)
+    assert np.all(corrections >= 1) and np.any(corrections >= 2)
+    assert np.all(np.isfinite(first.meta["residual_norm"]))
+    np.testing.assert_array_equal(corrections, second.meta["newton_corrections"])
+    np.testing.assert_array_equal(first.meta["residual_norm"], second.meta["residual_norm"])
 
 
 def test_newmark_reports_divergence_step():

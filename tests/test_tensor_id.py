@@ -45,16 +45,18 @@ class SyntheticCubicModel:
         k2, _ = symmetrize_full(rng.standard_normal((m, m, m)))
         k3, _ = symmetrize_full(rng.standard_normal((m, m, m, m)))
         self.k2u, self.k3u = unique_from_full(k2), unique_from_full(k3)
+        self.k2 = full_from_unique(self.k2u, m, 3)
+        self.k3 = full_from_unique(self.k3u, m, 4)
         self.m = m
 
     def force(self, q):
-        return self.k1 @ q + force_quadratic(self.k2u, q) + force_cubic(self.k3u, q)
+        return self.k1 @ q + force_quadratic(self.k2, q) + force_cubic(self.k3, q)
 
     def tangent(self, q):
         return (
             self.k1
-            + 2.0 * tangent_quadratic(self.k2u, q)
-            + 3.0 * tangent_cubic(self.k3u, q)
+            + 2.0 * tangent_quadratic(self.k2, q)
+            + 3.0 * tangent_cubic(self.k3, q)
         )
 
 
@@ -218,12 +220,11 @@ def test_identified_tensors_reproduce_black_box_force(beam_setup):
     asm, V, k1r = beam_setup
     s = plan_scales(V, asm, 1.0)
     eed = identify_eed(asm.tangent_stiffness, V, s, k1r)
+    k2, k3 = eed.k2_full(), eed.k3_full()
     rng = np.random.default_rng(7)
     for _ in range(20):
         eta = rng.standard_normal(V.shape[1]) * s
-        f_model = k1r @ eta + force_quadratic(eed.k2_unique, eta) + force_cubic(
-            eed.k3_unique, eta
-        )
+        f_model = k1r @ eta + force_quadratic(k2, eta) + force_cubic(k3, eta)
         f_black = V.T @ asm.internal_force(V @ eta)
         assert np.linalg.norm(f_model - f_black) < 1e-8 * np.linalg.norm(f_black)
 
