@@ -22,6 +22,12 @@ class SamplingConfig:
     seed_validation: int = 2025
     seed_test: int = 2026
 
+    def role(self, role: str) -> tuple[int, int]:
+        """Sample count and LHS seed of a sample role (train/validation/test)."""
+        if role not in ("train", "validation", "test"):
+            raise ValueError(f"unknown sample role {role!r}")
+        return getattr(self, f"n_{role}"), getattr(self, f"seed_{role}")
+
 
 @dataclass(frozen=True)
 class FeConfig:

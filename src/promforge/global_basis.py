@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DegenerateSnapshotsError, DuplicateAssignmentError
-from .modes import CompanionSet, ModeSet
+from .modes import CompanionSet, ModeSet, fix_signs
 
 __all__ = [
     "SnapshotMatrices",
@@ -147,7 +147,8 @@ def mass_orthogonalize(global_vectors: np.ndarray, mass, stiffness) -> LocalBasi
     mass-orthonormal and diagonalizes the linear stiffness.  The spanned
     subspace is unchanged.  A second pass on the already near-orthonormal
     basis removes the conditioning error the correlated global columns
-    leave in the first solve.
+    leave in the first solve.  The largest-magnitude entry of each column
+    is made positive, so the signs are deterministic.
     """
     local = np.asarray(global_vectors, dtype=float)
     w2 = None
@@ -165,12 +166,7 @@ def mass_orthogonalize(global_vectors: np.ndarray, mass, stiffness) -> LocalBasi
         if w2[0] <= 0.0:
             raise DegenerateSnapshotsError("reduced stiffness is not positive definite")
         local = local @ phi
-    # deterministic sign: largest-magnitude entry of each full-order column positive
-    idx = np.argmax(np.abs(local), axis=0)
-    signs = np.sign(local[idx, np.arange(local.shape[1])])
-    signs[signs == 0] = 1.0
-    local = local * signs
-    return LocalBasis(vectors=local, omegas=np.sqrt(w2))
+    return LocalBasis(vectors=fix_signs(local), omegas=np.sqrt(w2))
 
 
 def mac_matrix(v_ref: np.ndarray, v_other: np.ndarray, mass_ref) -> np.ndarray:

@@ -185,6 +185,7 @@ def compute_dual_modes(
     residuals are POD-compressed to the requested energy.
     """
     from .beam_fe import static_solve as _static_solve
+    from .global_basis import pod_truncate
 
     solver = static_solver if static_solver is not None else _static_solve
     if scale_thickness <= 0.0:
@@ -223,11 +224,7 @@ def compute_dual_modes(
         )
     snapshots = snapshots[:, keep] / norms[keep]
 
-    u, sv, _ = np.linalg.svd(snapshots, full_matrices=False)
-    energy = np.cumsum(sv**2) / np.sum(sv**2)
-    n_keep = int(np.searchsorted(energy, energy_threshold) + 1)
-    n_keep = min(n_keep, sv.size)
-    vectors = fix_signs(u[:, :n_keep].copy())
+    vectors, n_keep, _, _ = pod_truncate(snapshots, energy_threshold)
     return CompanionSet(
-        vectors=vectors, kind="dual", provenance=[("pod", k) for k in range(n_keep)]
+        vectors=fix_signs(vectors), kind="dual", provenance=[("pod", k) for k in range(n_keep)]
     )

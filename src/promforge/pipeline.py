@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time as _time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams, PulseLoad, uniform_transverse_pattern
 from .config import RunConfig
 from .database import MODEL_KINDS, BenchmarkReport, RomDatabase
-from .errors import PromforgeError, StructureViolationError
+from .errors import DuplicateAssignmentError, PromforgeError, StructureViolationError
 from .global_basis import (
     LocalBasis,
     assemble_snapshots,
@@ -38,6 +39,7 @@ __all__ = [
     "make_assembly",
     "build_database",
     "build_companion_database",
+    "sample_rom",
     "fit_prom",
     "run_benchmark",
     "export_histories",
@@ -60,11 +62,78 @@ def make_assembly(cfg: RunConfig, p_physical) -> CurvedBeamAssembly:
     )
 
 
-def _identify(cfg: RunConfig, assembly, basis, k1_reduced):
+def _draw(cfg: RunConfig, role: str):
+    count, seed = cfg.sampling.role(role)
+    return lhs_sample(count, cfg.bounds().n_params, seed, role=role)
+
+
+def _new_counters() -> dict:
+    return {
+        "smd_tangent_evaluations": 0,
+        "dual_static_solves": 0,
+        "identification_evaluations": [],
+        "k1_offdiag_leakage": [],
+    }
+
+
+@contextmanager
+def _naming_sample(role: str, index: int, p_physical):
+    """Re-raise a sample's failure, same type and fields, naming the sample.
+
+    A DuplicateAssignmentError already names its sample pair and carries
+    the MAC matrix, so it passes through unchanged.
+    """
+    try:
+        yield
+    except DuplicateAssignmentError:
+        raise
+    except PromforgeError as exc:
+        named = type(exc)(f"{role} sample {index} (p={p_physical}): {exc}")
+        named.__dict__.update(vars(exc))
+        raise named from exc
+
+
+def _lineage(bases: list[LocalBasis], start_index: int) -> dict:
+    return {
+        "references": np.array([lb.reference for lb in bases], dtype=np.int64),
+        "permutations": np.stack([lb.permutation for lb in bases]),
+        "signs": np.stack([lb.signs for lb in bases]),
+        "macs": np.stack([lb.mac_values for lb in bases]),
+        "start_index": start_index,
+    }
+
+
+def sample_rom(cfg: RunConfig, assembly, local_basis: LocalBasis, omegas, p_hat, counters=None) -> RomOperators:
+    """The reduced model of one sample on its mass-orthonormal local basis.
+
+    Projects K1 (diagonal through the basis), identifies the quadratic and
+    cubic tensors from black-box FE probes, and sets Rayleigh damping at
+    the first two full-order angular frequencies `omegas`.  With
+    `counters`, the relative off-diagonal K1 leakage and the number of
+    identification evaluations are appended to it.
+    """
+    basis = local_basis.vectors
+    k1_red = basis.T @ assembly.linear_stiffness() @ basis
     scales = plan_scales(basis, assembly, cfg.identification.probe_target)
     if cfg.identification.method == "eed":
-        return identify_eed(assembly.tangent_stiffness, basis, scales, k1_reduced)
-    return identify_ed(assembly.internal_force, basis, scales, k1_reduced)
+        tensors = identify_eed(assembly.tangent_stiffness, basis, scales, k1_red)
+    else:
+        tensors = identify_ed(assembly.internal_force, basis, scales, k1_red)
+    if counters is not None:
+        leakage = np.max(np.abs(k1_red - np.diag(np.diag(k1_red)))) / np.max(
+            np.abs(np.diag(k1_red))
+        )
+        counters["k1_offdiag_leakage"].append(float(leakage))
+        counters["identification_evaluations"].append(tensors.eval_count)
+    alpha, beta = rayleigh_params(omegas[0], omegas[1], cfg.damping.zeta)
+    return RomOperators(
+        basis=basis,
+        k1_diag=local_basis.omegas**2,
+        tensors=tensors,
+        alpha=alpha,
+        beta=beta,
+        p_hat=np.array(p_hat, dtype=float),
+    ).validate()
 
 
 def _sample_ingredients(cfg: RunConfig, assembly, counters):
@@ -108,87 +177,35 @@ def _sample_ingredients(cfg: RunConfig, assembly, counters):
 
 def build_database(cfg: RunConfig, role: str = "train") -> RomDatabase:
     """Construct the ROM database for the given sample role."""
-    seeds = {
-        "train": cfg.sampling.seed_train,
-        "validation": cfg.sampling.seed_validation,
-        "test": cfg.sampling.seed_test,
-    }
-    counts = {
-        "train": cfg.sampling.n_train,
-        "validation": cfg.sampling.n_validation,
-        "test": cfg.sampling.n_test,
-    }
-    if role not in seeds:
-        raise ValueError(f"unknown sample role {role!r}")
+    samples = _draw(cfg, role)
     bounds = cfg.bounds()
-    samples = lhs_sample(counts[role], bounds.n_params, seeds[role], role=role)
+    physical = [denormalize(p, bounds) for p in samples.points]
+    counters = _new_counters()
 
-    counters = {
-        "smd_tangent_evaluations": 0,
-        "dual_static_solves": 0,
-        "identification_evaluations": [],
-        "k1_offdiag_leakage": [],
-    }
-
-    assemblies, masses, stiffnesses, mode_sets, companion_sets, fe_omega_pairs = (
-        [], [], [], [], [], []
-    )
-    for i in range(len(samples)):
-        p_phys = denormalize(samples.points[i], bounds)
-        try:
+    ingredients = []
+    for i, p_phys in enumerate(physical):
+        with _naming_sample(role, i, p_phys):
             assembly = make_assembly(cfg, p_phys)
-            mass, stiffness, selected, companions, fe_omegas = _sample_ingredients(
-                cfg, assembly, counters
-            )
-        except PromforgeError as exc:
-            raise type(exc)(f"sample {i} (p={p_phys}): {exc}") from exc
-        assemblies.append(assembly)
-        masses.append(mass)
-        stiffnesses.append(stiffness)
-        mode_sets.append(selected)
-        companion_sets.append(companions)
-        fe_omega_pairs.append(fe_omegas)
+            ingredients.append((assembly, *_sample_ingredients(cfg, assembly, counters)))
+    assemblies, masses, stiffnesses, mode_sets, companion_sets, fe_omega_pairs = zip(*ingredients)
 
     snapshots = assemble_snapshots(mode_sets, companion_sets)
     global_rb = build_global_rb(snapshots, cfg.pod.energy_modes, cfg.pod.energy_companions)
 
-    local_bases = [
-        mass_orthogonalize(global_rb.vectors, masses[i], stiffnesses[i])
-        for i in range(len(samples))
-    ]
+    local_bases = []
+    for i, p_phys in enumerate(physical):
+        with _naming_sample(role, i, p_phys):
+            local_bases.append(mass_orthogonalize(global_rb.vectors, masses[i], stiffnesses[i]))
     ordered = reorder_local_bases(local_bases, samples.points, masses)
     start_index = next(i for i, lb in enumerate(ordered) if lb.reference == -1)
 
     roms = []
     for i, lb in enumerate(ordered):
-        k1_red = lb.vectors.T @ stiffnesses[i] @ lb.vectors
-        leakage = np.max(np.abs(k1_red - np.diag(np.diag(k1_red)))) / np.max(
-            np.abs(np.diag(k1_red))
-        )
-        counters["k1_offdiag_leakage"].append(float(leakage))
-        tensors = _identify(cfg, assemblies[i], lb.vectors, k1_red)
-        counters["identification_evaluations"].append(tensors.eval_count)
-        alpha, beta = rayleigh_params(
-            fe_omega_pairs[i][0], fe_omega_pairs[i][1], cfg.damping.zeta
-        )
-        roms.append(
-            RomOperators(
-                basis=lb.vectors,
-                k1_diag=lb.omegas**2,
-                tensors=tensors,
-                alpha=alpha,
-                beta=beta,
-                p_hat=samples.points[i].copy(),
-            ).validate()
-        )
+        with _naming_sample(role, i, physical[i]):
+            roms.append(
+                sample_rom(cfg, assemblies[i], lb, fe_omega_pairs[i], samples.points[i], counters)
+            )
 
-    lineage = {
-        "references": np.array([lb.reference for lb in ordered], dtype=np.int64),
-        "permutations": np.stack([lb.permutation for lb in ordered]),
-        "signs": np.stack([lb.signs for lb in ordered]),
-        "macs": np.stack([lb.mac_values for lb in ordered]),
-        "start_index": start_index,
-    }
     global_info = {
         "m_modes": global_rb.m_modes,
         "m_companions": global_rb.m_companions,
@@ -204,7 +221,7 @@ def build_database(cfg: RunConfig, role: str = "train") -> RomDatabase:
         roms=roms,
         global_vectors=global_rb.vectors,
         global_info=global_info,
-        lineage=lineage,
+        lineage=_lineage(ordered, start_index),
         counters=counters,
     )
 
@@ -220,71 +237,35 @@ def build_companion_database(
     its own matrices, and is column-matched against the nearest training
     sample's basis.
     """
-    seeds = {"validation": cfg.sampling.seed_validation, "test": cfg.sampling.seed_test}
-    counts = {"validation": cfg.sampling.n_validation, "test": cfg.sampling.n_test}
-    if role not in seeds:
-        raise ValueError(f"companion role must be validation or test, not {role!r}")
+    if role == "train":
+        raise ValueError("companion role must be validation or test, not 'train'")
+    samples = _draw(cfg, role)
     bounds = cfg.bounds()
-    samples = lhs_sample(counts[role], bounds.n_params, seeds[role], role=role)
-
-    counters = {
-        "smd_tangent_evaluations": 0,
-        "dual_static_solves": 0,
-        "identification_evaluations": [],
-        "k1_offdiag_leakage": [],
-    }
+    counters = _new_counters()
     train_masses = {}
 
-    roms = []
-    references, permutations, signs_list, macs = [], [], [], []
+    roms, matched_bases = [], []
     for i in range(len(samples)):
         p_phys = denormalize(samples.points[i], bounds)
-        assembly = make_assembly(cfg, p_phys)
-        mass = assembly.mass_matrix()
-        stiffness = assembly.linear_stiffness()
-        local = mass_orthogonalize(train_db.global_vectors, mass, stiffness)
+        with _naming_sample(role, i, p_phys):
+            assembly = make_assembly(cfg, p_phys)
+            mass = assembly.mass_matrix()
+            stiffness = assembly.linear_stiffness()
+            local = mass_orthogonalize(train_db.global_vectors, mass, stiffness)
 
-        nearest = int(np.argmin(np.linalg.norm(train_db.points - samples.points[i], axis=1)))
-        if nearest not in train_masses:
-            train_phys = denormalize(train_db.points[nearest], bounds)
-            train_masses[nearest] = make_assembly(cfg, train_phys).mass_matrix()
-        ref_rom = train_db.roms[nearest]
-        ref = LocalBasis(vectors=ref_rom.basis, omegas=ref_rom.omegas)
-        matched = match_to_reference(
-            ref, train_masses[nearest], local, candidate_index=i, ref_index=nearest
-        )
+            nearest = int(np.argmin(np.linalg.norm(train_db.points - samples.points[i], axis=1)))
+            if nearest not in train_masses:
+                train_phys = denormalize(train_db.points[nearest], bounds)
+                train_masses[nearest] = make_assembly(cfg, train_phys).mass_matrix()
+            ref_rom = train_db.roms[nearest]
+            ref = LocalBasis(vectors=ref_rom.basis, omegas=ref_rom.omegas)
+            matched = match_to_reference(
+                ref, train_masses[nearest], local, candidate_index=i, ref_index=nearest
+            )
+            omegas = solve_vms(mass, stiffness, 2).omegas
+            roms.append(sample_rom(cfg, assembly, matched, omegas, samples.points[i], counters))
+        matched_bases.append(matched)
 
-        k1_red = matched.vectors.T @ stiffness @ matched.vectors
-        leakage = np.max(np.abs(k1_red - np.diag(np.diag(k1_red)))) / np.max(
-            np.abs(np.diag(k1_red))
-        )
-        counters["k1_offdiag_leakage"].append(float(leakage))
-        tensors = _identify(cfg, assembly, matched.vectors, k1_red)
-        counters["identification_evaluations"].append(tensors.eval_count)
-        fe_modes = solve_vms(mass, stiffness, 2)
-        alpha, beta = rayleigh_params(fe_modes.omegas[0], fe_modes.omegas[1], cfg.damping.zeta)
-        roms.append(
-            RomOperators(
-                basis=matched.vectors,
-                k1_diag=matched.omegas**2,
-                tensors=tensors,
-                alpha=alpha,
-                beta=beta,
-                p_hat=samples.points[i].copy(),
-            ).validate()
-        )
-        references.append(nearest)
-        permutations.append(matched.permutation)
-        signs_list.append(matched.signs)
-        macs.append(matched.mac_values)
-
-    lineage = {
-        "references": np.array(references, dtype=np.int64),
-        "permutations": np.stack(permutations),
-        "signs": np.stack(signs_list),
-        "macs": np.stack(macs),
-        "start_index": -1,  # companion sets are matched to training samples
-    }
     return RomDatabase(
         role=role,
         config=cfg.to_dict(),
@@ -292,7 +273,8 @@ def build_companion_database(
         roms=roms,
         global_vectors=train_db.global_vectors,
         global_info=dict(train_db.global_info),
-        lineage=lineage,
+        # companion sets are matched to training samples
+        lineage=_lineage(matched_bases, -1),
         counters=counters,
     )
 
@@ -393,7 +375,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
     if db.prom is None:
         raise ValueError("database carries no fitted surrogate; run the fit step first")
     bounds = cfg.bounds()
-    test = lhs_sample(cfg.sampling.n_test, bounds.n_params, cfg.sampling.seed_test, role="test")
+    test = _draw(cfg, "test")
     physical = np.stack([denormalize(p, bounds) for p in test.points])
 
     histories, errors, periods, failures, timings, closest_ids = [], [], [], [], [], []
@@ -456,17 +438,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
 
         def recomputed_runner():
             local = mass_orthogonalize(db.global_vectors, mass, stiffness)
-            k1_red = local.vectors.T @ stiffness @ local.vectors
-            tensors = _identify(cfg, assembly, local.vectors, k1_red)
-            ops = RomOperators(
-                basis=local.vectors,
-                k1_diag=local.omegas**2,
-                tensors=tensors,
-                alpha=alpha_fe,
-                beta=beta_fe,
-                p_hat=p_hat.copy(),
-            )
-            return rom_runner(ops)()
+            return rom_runner(sample_rom(cfg, assembly, local, fe_modes.omegas, p_hat))()
 
         def surrogate_runner(make_ops):
             def run():

@@ -33,7 +33,6 @@ __all__ = [
     "validate_eps",
     "OPERATOR_NAMES",
     "operator_vectors",
-    "default_eps_grid",
 ]
 
 OPERATOR_NAMES = ("k1", "k2", "k3", "v", "alpha", "beta")
@@ -112,19 +111,13 @@ class RbfInterpolant:
         return self.weights @ dgamma
 
 
-def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name: str = "") -> RbfInterpolant:
-    """Solve the kernel system for the weight matrix of one operator.
+def _factor_kernel(centers: np.ndarray, kernel: RbfKernel):
+    """Kernel matrix over the centers, its condition number and LU factors.
 
-    `values` holds one column per center.  A single factorization of the
-    symmetric kernel matrix serves all entry rows; two refinement passes
-    keep the interpolation property at round-off.  Conditioning above 1e12
-    warns with shape-parameter guidance; a singular matrix raises.
+    Conditioning above 1e12 warns with shape-parameter guidance; a singular
+    matrix raises.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     n_centers = centers.shape[0]
-    if values.shape[1] != n_centers:
-        raise ValueError("one value column per center required")
     d = _pairwise_distances(centers, centers)
     if n_centers > 1 and np.min(d[~np.eye(n_centers, dtype=bool)]) == 0.0:
         raise ValueError("centers must be pairwise distinct")
@@ -139,22 +132,43 @@ def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name
             f"kernel matrix condition {cond:.3g} exceeds 1e12 for eps={kernel.eps:.4g}; "
             "weights may be inaccurate (a larger eps sharpens the kernel)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    offset = np.mean(values, axis=1)
-    deviations = values - offset[:, None]
     try:
-        lu, piv = sla.lu_factor(gamma)
-        weights = sla.lu_solve((lu, piv), deviations.T).T
-        for _ in range(2):
-            residual = deviations - weights @ gamma
-            weights += sla.lu_solve((lu, piv), residual.T).T
+        factors = sla.lu_factor(gamma)
     except sla.LinAlgError as exc:
         raise IllConditionedError(f"kernel system solve failed: {exc}") from exc
+    return gamma, factors, cond
+
+
+def _solve_weights(values, centers, kernel, factored, name) -> RbfInterpolant:
+    """Mean-centered weights from a factored kernel matrix, refined twice."""
+    gamma, factors, cond = factored
+    offset = np.mean(values, axis=1)
+    deviations = values - offset[:, None]
+    weights = sla.lu_solve(factors, deviations.T).T
+    for _ in range(2):
+        residual = deviations - weights @ gamma
+        weights += sla.lu_solve(factors, residual.T).T
     return RbfInterpolant(
         centers=centers, weights=weights, kernel=kernel, offset=offset, name=name,
         condition=cond,
     )
+
+
+def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name: str = "") -> RbfInterpolant:
+    """Solve the kernel system for the weight matrix of one operator.
+
+    `values` holds one column per center.  A single factorization of the
+    symmetric kernel matrix serves all entry rows; two refinement passes
+    keep the interpolation property at round-off.  Conditioning above 1e12
+    warns with shape-parameter guidance; a singular matrix raises.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if values.shape[1] != centers.shape[0]:
+        raise ValueError("one value column per center required")
+    return _solve_weights(values, centers, kernel, _factor_kernel(centers, kernel), name)
 
 
 @dataclass
@@ -195,10 +209,6 @@ def operator_vectors(ops: RomOperators) -> dict:
     }
 
 
-def default_eps_grid(lo: float = 1e-2, hi: float = 10.0, count: int = 50) -> np.ndarray:
-    return np.logspace(np.log10(lo), np.log10(hi), count)
-
-
 def fit_prom_interpolants(
     rom_list: list[RomOperators],
     centers: np.ndarray,
@@ -223,8 +233,8 @@ def validate_eps(
     train_centers: np.ndarray,
     val_roms: list[RomOperators],
     val_centers: np.ndarray,
+    eps_grid,
     kernel_kind: str = "inverse_multiquadric",
-    eps_grid=None,
     metric: str = "verbatim",
     condition_limit: float = 1e12,
 ) -> ValidationReport:
@@ -236,10 +246,9 @@ def validate_eps(
     mean of squared ratios instead.  The argmin is selected independently
     per operator (first grid point on ties).  Grid values whose kernel
     matrix conditioning exceeds `condition_limit` produce numerically
-    meaningless weights and are excluded from selection.
+    meaningless weights and are excluded from selection.  The kernel
+    matrix is factored once per grid value and serves every operator.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0:
         raise ValueError("shape-parameter grid is empty")
@@ -256,25 +265,23 @@ def validate_eps(
         name: np.column_stack([operator_vectors(r)[name] for r in val_roms])
         for name in OPERATOR_NAMES
     }
+    train_centers = np.atleast_2d(np.asarray(train_centers, dtype=float))
     val_centers = np.atleast_2d(np.asarray(val_centers, dtype=float))
 
-    curves = {}
-    selected = {}
+    curves = {name: np.full(eps_grid.size, np.inf) for name in OPERATOR_NAMES}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # sweep hits bad eps values
-        for name in OPERATOR_NAMES:
-            errors = np.empty(eps_grid.size)
-            for k, eps in enumerate(eps_grid):
-                try:
-                    interp = fit_weights(
-                        train_tables[name], train_centers, RbfKernel(kernel_kind, eps), name
-                    )
-                except IllConditionedError:
-                    errors[k] = np.inf
-                    continue
-                if interp.condition > condition_limit:
-                    errors[k] = np.inf
-                    continue
+        for k, eps in enumerate(eps_grid):
+            kernel = RbfKernel(kernel_kind, eps)
+            try:
+                factored = _factor_kernel(train_centers, kernel)
+            except IllConditionedError:
+                continue
+            _, _, cond = factored
+            if cond > condition_limit:
+                continue
+            for name in OPERATOR_NAMES:
+                interp = _solve_weights(train_tables[name], train_centers, kernel, factored, name)
                 ratios = []
                 for i in range(val_centers.shape[0]):
                     exact = val_tables[name][:, i]
@@ -284,16 +291,17 @@ def validate_eps(
                     )
                 ratios = np.asarray(ratios)
                 if metric == "verbatim":
-                    errors[k] = np.sqrt(np.sum(ratios))
+                    curves[name][k] = np.sqrt(np.sum(ratios))
                 else:
-                    errors[k] = np.sqrt(np.mean(ratios**2))
-            curves[name] = errors
-            if not np.any(np.isfinite(errors)):
-                raise IllConditionedError(
-                    f"no usable shape parameter for operator {name!r}: every grid "
-                    "value left the kernel matrix singular or ill conditioned"
-                )
-            selected[name] = float(eps_grid[int(np.argmin(errors))])
+                    curves[name][k] = np.sqrt(np.mean(ratios**2))
+    selected = {}
+    for name, errors in curves.items():
+        if not np.any(np.isfinite(errors)):
+            raise IllConditionedError(
+                f"no usable shape parameter for operator {name!r}: every grid "
+                "value left the kernel matrix singular or ill conditioned"
+            )
+        selected[name] = float(eps_grid[int(np.argmin(errors))])
     return ValidationReport(
         eps_grid=eps_grid, curves=curves, selected=selected, kernel_kind=kernel_kind,
         metric=metric,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from promforge.config import apply_overrides, config_from_dict, load_config
+from promforge.config import SamplingConfig, apply_overrides, config_from_dict, load_config
 
 
 def test_defaults_validate():
@@ -27,6 +27,15 @@ def test_eps_grid_shape():
     assert grid.size == 50
     assert grid[0] == pytest.approx(0.01)
     assert grid[-1] == pytest.approx(10.0)
+
+
+def test_sampling_role_gives_count_and_seed():
+    s = config_from_dict({"sampling": {"n_validation": 5, "seed_validation": 7}}).sampling
+    assert s.role("train") == (s.n_train, s.seed_train)
+    assert s.role("validation") == (5, 7)
+    assert s.role("test") == (s.n_test, s.seed_test)
+    with pytest.raises(ValueError):
+        SamplingConfig().role("bogus")
 
 
 def test_rejects_unknown_keys():

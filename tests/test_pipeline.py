@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from promforge import pipeline
 from promforge.cli import main as cli_main
 from promforge.config import config_from_dict
 from promforge.database import MODEL_KINDS, load_database, load_report
-from promforge.errors import EmptySelectionError
+from promforge.errors import EmptySelectionError, NonConvergenceError
 from promforge.pipeline import (
     build_companion_database,
     build_database,
@@ -74,6 +75,45 @@ def test_build_reports_offending_sample_on_empty_selection():
     with pytest.raises(EmptySelectionError) as err:
         build_database(cfg, "train")
     assert "sample 0" in str(err.value)
+
+
+def test_builders_name_the_sample_an_identification_failure_came_from(monkeypatch, pipeline_result):
+    cfg, train, _ = pipeline_result
+
+    def fail(*args, **kwargs):
+        raise NonConvergenceError("probe did not converge", residual=1.5)
+
+    monkeypatch.setattr(pipeline, "identify_eed", fail)
+    with pytest.raises(NonConvergenceError) as err:
+        build_database(cfg, "train")
+    assert str(err.value).startswith("train sample 0 (p=[")
+    assert "probe did not converge" in str(err.value)
+    assert err.value.residual == 1.5
+    with pytest.raises(NonConvergenceError) as err:
+        build_companion_database(train, cfg, "validation")
+    assert str(err.value).startswith("validation sample 0 (p=[")
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"identification": {"method": "ed"}}, {"basis": {"companion": "dual"}}],
+    ids=["smd-eed", "ed", "dual"],
+)
+def test_validation_at_training_points_reproduces_training_roms(variant):
+    # validation drawn like training: every sample goes through sample_rom twice
+    cfg = small_cfg(sampling={"seed_validation": 2024, "n_validation": 4}, **variant)
+    train = build_database(cfg, "train")
+    val = build_companion_database(train, cfg, "validation")
+    np.testing.assert_array_equal(val.points, train.points)
+    for t, v in zip(train.roms, val.roms):
+        np.testing.assert_array_equal(v.basis, t.basis)
+        np.testing.assert_array_equal(v.k1_diag, t.k1_diag)
+        for name in ("k2_unique", "k3_unique"):
+            exact, again = getattr(t.tensors, name), getattr(v.tensors, name)
+            assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
+        # training takes omega1, omega2 from its n_modes solve, validation solves 2 modes
+        assert v.alpha == pytest.approx(t.alpha, rel=1e-9)
+        assert v.beta == pytest.approx(t.beta, rel=1e-9)
 
 
 def test_build_rom_k1_is_squared_frequencies(pipeline_result):
@@ -187,6 +227,8 @@ def test_benchmark_at_training_point_reproduces_training_rom():
         num = np.linalg.norm(a["traces"] - b["traces"])
         den = np.linalg.norm(b["traces"])
         assert num < 1e-8 * den
+        c = report.histories[i]["recomputed"]
+        assert np.linalg.norm(c["traces"] - b["traces"]) < 1e-8 * den
 
 
 def test_benchmark_isolates_surrogate_failures():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from promforge.config import RunConfig
 from promforge.errors import StructureViolationError
 from promforge.params import lhs_sample
 from promforge.rbf import (
@@ -10,7 +11,6 @@ from promforge.rbf import (
     PromModel,
     RbfKernel,
     RbfInterpolant,
-    default_eps_grid,
     evaluate_prom,
     fit_prom_interpolants,
     fit_weights,
@@ -194,7 +194,7 @@ def test_validate_eps_selects_from_grid(synthetic_prom):
     _, train_roms, train = synthetic_prom
     val = lhs_sample(4, 2, seed=6).points
     val_roms = [synthetic_rom(p) for p in val]
-    grid = default_eps_grid(1e-2, 10.0, 12)
+    grid = np.logspace(np.log10(1e-2), np.log10(10.0), 12)
     report = validate_eps(train_roms, train, val_roms, val, eps_grid=grid)
     assert set(report.curves) == set(OPERATOR_NAMES)
     for name in OPERATOR_NAMES:
@@ -213,7 +213,7 @@ def test_validate_eps_zero_error_when_validation_equals_training(synthetic_prom)
 
 
 def test_validate_eps_default_grid_matches_protocol():
-    grid = default_eps_grid()
+    grid = RunConfig().eps_grid()
     assert grid.size == 50
     assert grid[0] == pytest.approx(1e-2)
     assert grid[-1] == pytest.approx(10.0)
