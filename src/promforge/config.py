@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -251,8 +252,8 @@ def load_config(path) -> RunConfig:
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
-    """Apply `a.b.c=value` scalar overrides onto a raw config dict."""
-    data = dict(data or {})
+    """Apply `a.b.c=value` scalar overrides onto a copy of a raw config dict."""
+    data = copy.deepcopy(data or {})
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form path=value")

@@ -1,4 +1,4 @@
-"""Parameter-domain bookkeeping: bounds, normalization, LHS sampling, distances."""
+"""Parameter-domain bookkeeping: bounds, normalization, LHS sampling."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ __all__ = [
     "normalize",
     "denormalize",
     "lhs_sample",
-    "distance",
 ]
 
 
@@ -77,15 +76,6 @@ def denormalize(p_hat, bounds: ParamBounds) -> np.ndarray:
     """Inverse of :func:`normalize` on the unit hypercube."""
     p_hat = np.asarray(p_hat, dtype=float)
     return bounds.lower + p_hat * (bounds.upper - bounds.lower)
-
-
-def distance(a, b) -> float:
-    """Euclidean distance in the normalized parameter space."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("points must have equal dimension")
-    return float(np.linalg.norm(a - b))
 
 
 def _lhs_design(n_points: int, n_dims: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,9 +31,9 @@ from .global_basis import (
 from .modes import CompanionSet, compute_dual_modes, compute_smd, mpf, select_smds, select_vms, solve_vms
 from .newmark import ImplicitModel, newmark_integrate
 from .params import denormalize, lhs_sample
-from .rbf import evaluate_prom, fit_prom_interpolants, operator_vectors, validate_eps
+from .rbf import evaluate_prom, fit_prom_interpolants, validate_eps
 from .rom import RomOperators, linearize, rayleigh_params, rom_model
-from .tensor_id import identify_ed, identify_eed, n_unique, plan_scales
+from .tensor_id import identify_ed, identify_eed, plan_scales
 
 __all__ = [
     "make_assembly",
@@ -283,21 +283,6 @@ def fit_prom(train_db: RomDatabase, val_db: RomDatabase, cfg: RunConfig) -> RomD
     """Select shape parameters on the validation set and attach the surrogate."""
     if train_db.n_samples < 2:
         raise ValueError("at least two training samples are required to fit a surrogate")
-    n, m = train_db.n, train_db.m
-    expected = {
-        "k1": m,
-        "k2": n_unique(m, 3),
-        "k3": n_unique(m, 4),
-        "v": n * m,
-        "alpha": 1,
-        "beta": 1,
-    }
-    for rom in train_db.roms + val_db.roms:
-        vectors = operator_vectors(rom)
-        for name, size in expected.items():
-            if vectors[name].size != size:
-                raise ValueError(f"operator {name} has {vectors[name].size} entries, expected {size}")
-
     report = validate_eps(
         train_db.roms,
         train_db.points,

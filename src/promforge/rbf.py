@@ -33,6 +33,7 @@ __all__ = [
     "validate_eps",
     "OPERATOR_NAMES",
     "operator_vectors",
+    "operator_tables",
 ]
 
 OPERATOR_NAMES = ("k1", "k2", "k3", "v", "alpha", "beta")
@@ -141,19 +142,14 @@ def _factor_kernel(centers: np.ndarray, kernel: RbfKernel):
     return gamma, factors, cond
 
 
-def _solve_weights(values, centers, kernel, factored, name) -> RbfInterpolant:
-    """Mean-centered weights from a factored kernel matrix, refined twice."""
-    gamma, factors, cond = factored
-    offset = np.mean(values, axis=1)
-    deviations = values - offset[:, None]
-    weights = sla.lu_solve(factors, deviations.T).T
+def _solve_rows(factors, gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows·Γ⁻¹ from the LU factors of the symmetric kernel matrix Γ, with
+    two refinement passes that keep the solution at round-off."""
+    solution = sla.lu_solve(factors, rows.T).T
     for _ in range(2):
-        residual = deviations - weights @ gamma
-        weights += sla.lu_solve(factors, residual.T).T
-    return RbfInterpolant(
-        centers=centers, weights=weights, kernel=kernel, offset=offset, name=name,
-        condition=cond,
-    )
+        residual = rows - solution @ gamma
+        solution += sla.lu_solve(factors, residual.T).T
+    return solution
 
 
 def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name: str = "") -> RbfInterpolant:
@@ -168,7 +164,13 @@ def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if values.shape[1] != centers.shape[0]:
         raise ValueError("one value column per center required")
-    return _solve_weights(values, centers, kernel, _factor_kernel(centers, kernel), name)
+    gamma, factors, cond = _factor_kernel(centers, kernel)
+    offset = np.mean(values, axis=1)
+    weights = _solve_rows(factors, gamma, values - offset[:, None])
+    return RbfInterpolant(
+        centers=centers, weights=weights, kernel=kernel, offset=offset, name=name,
+        condition=cond,
+    )
 
 
 @dataclass
@@ -209,6 +211,19 @@ def operator_vectors(ops: RomOperators) -> dict:
     }
 
 
+def operator_tables(roms: list[RomOperators]) -> dict:
+    """Per-operator (n_entries, n_roms) tables, one column per ROM; an
+    operator whose entry count differs between ROMs raises ValueError."""
+    vectors = [operator_vectors(r) for r in roms]
+    tables = {}
+    for name in OPERATOR_NAMES:
+        sizes = sorted({v[name].size for v in vectors})
+        if len(sizes) > 1:
+            raise ValueError(f"operator {name} has differing entry counts {sizes} across ROMs")
+        tables[name] = np.column_stack([v[name] for v in vectors])
+    return tables
+
+
 def fit_prom_interpolants(
     rom_list: list[RomOperators],
     centers: np.ndarray,
@@ -217,8 +232,7 @@ def fit_prom_interpolants(
 ) -> PromModel:
     """Final per-operator weight fit at the chosen shape parameters."""
     n, m = rom_list[0].n, rom_list[0].m
-    tables = {name: np.column_stack([operator_vectors(r)[name] for r in rom_list])
-              for name in OPERATOR_NAMES}
+    tables = operator_tables(rom_list)
     interpolants = {
         name: fit_weights(
             tables[name], centers, RbfKernel(kernel_kind, eps_by_operator[name]), name
@@ -246,8 +260,12 @@ def validate_eps(
     mean of squared ratios instead.  The argmin is selected independently
     per operator (first grid point on ties).  Grid values whose kernel
     matrix conditioning exceeds `condition_limit` produce numerically
-    meaningless weights and are excluded from selection.  The kernel
-    matrix is factored once per grid value and serves every operator.
+    meaningless weights and are excluded from selection.
+
+    Only the predictions at the validation points are compared, so each
+    grid value factors the kernel matrix Γ once and solves for the cardinal
+    rows C = Γ_val·Γ⁻¹ (one row per validation point); every operator's
+    prediction is then offset + (D - offset)·Cᵀ, with no weight fit.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0:
@@ -256,17 +274,23 @@ def validate_eps(
         raise ValueError("validation set is empty")
     if metric not in ("verbatim", "rms"):
         raise ValueError("metric must be 'verbatim' or 'rms'")
-
-    train_tables = {
-        name: np.column_stack([operator_vectors(r)[name] for r in train_roms])
-        for name in OPERATOR_NAMES
-    }
-    val_tables = {
-        name: np.column_stack([operator_vectors(r)[name] for r in val_roms])
-        for name in OPERATOR_NAMES
-    }
     train_centers = np.atleast_2d(np.asarray(train_centers, dtype=float))
     val_centers = np.atleast_2d(np.asarray(val_centers, dtype=float))
+    for role, roms, centers in (("training", train_roms, train_centers),
+                                ("validation", val_roms, val_centers)):
+        if len(roms) != centers.shape[0]:
+            raise ValueError(
+                f"{len(roms)} {role} ROMs but {centers.shape[0]} {role} center rows"
+            )
+
+    n_train = len(train_roms)
+    offsets, deviations, exact, exact_norms = {}, {}, {}, {}
+    for name, table in operator_tables(list(train_roms) + list(val_roms)).items():
+        offsets[name] = np.mean(table[:, :n_train], axis=1)
+        deviations[name] = table[:, :n_train] - offsets[name][:, None]
+        exact[name] = table[:, n_train:]
+        exact_norms[name] = np.maximum(np.linalg.norm(exact[name], axis=0), 1e-300)
+    val_distances = _pairwise_distances(val_centers, train_centers)
 
     curves = {name: np.full(eps_grid.size, np.inf) for name in OPERATOR_NAMES}
     with warnings.catch_warnings():
@@ -274,22 +298,15 @@ def validate_eps(
         for k, eps in enumerate(eps_grid):
             kernel = RbfKernel(kernel_kind, eps)
             try:
-                factored = _factor_kernel(train_centers, kernel)
+                gamma, factors, cond = _factor_kernel(train_centers, kernel)
             except IllConditionedError:
                 continue
-            _, _, cond = factored
             if cond > condition_limit:
                 continue
+            cardinal = _solve_rows(factors, gamma, kernel_eval(kernel, val_distances))
             for name in OPERATOR_NAMES:
-                interp = _solve_weights(train_tables[name], train_centers, kernel, factored, name)
-                ratios = []
-                for i in range(val_centers.shape[0]):
-                    exact = val_tables[name][:, i]
-                    approx = interp.evaluate(val_centers[i])
-                    ratios.append(
-                        np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-300)
-                    )
-                ratios = np.asarray(ratios)
+                approx = offsets[name][:, None] + deviations[name] @ cardinal.T
+                ratios = np.linalg.norm(exact[name] - approx, axis=0) / exact_norms[name]
                 if metric == "verbatim":
                     curves[name][k] = np.sqrt(np.sum(ratios))
                 else:
@@ -308,6 +325,17 @@ def validate_eps(
     )
 
 
+def _query_point(model: PromModel, p_hat) -> np.ndarray:
+    """A finite parameter point with one coordinate per center dimension."""
+    p_hat = np.asarray(p_hat, dtype=float)
+    n_params = model.centers.shape[1]
+    if p_hat.shape != (n_params,):
+        raise ValueError(f"parameter point must have shape ({n_params},), got {p_hat.shape}")
+    if not np.isfinite(p_hat).all():
+        raise ValueError(f"parameter point {p_hat} has a non-finite coordinate")
+    return p_hat
+
+
 def evaluate_prom(
     model: PromModel,
     p_hat,
@@ -319,9 +347,11 @@ def evaluate_prom(
     coefficients and stiffness diagonal rather than interpolated entrywise.
     Positivity of the stiffness diagonal and damping coefficients is
     checked after interpolation; `structure_check` picks error/warn
-    behaviour.  Points outside the unit hypercube only warn (extrapolation).
+    behaviour.  Points outside the unit hypercube only warn (extrapolation);
+    a point of the wrong shape or with a non-finite coordinate raises
+    ValueError.
     """
-    p_hat = np.asarray(p_hat, dtype=float)
+    p_hat = _query_point(model, p_hat)
     if np.any(p_hat < -1e-12) or np.any(p_hat > 1.0 + 1e-12):
         warnings.warn(
             f"evaluating outside the unit hypercube at {p_hat}: extrapolation",
@@ -365,5 +395,5 @@ def evaluate_prom(
 
 def prom_gradient(model: PromModel, p_hat) -> dict:
     """Analytic d(entries)/d(p_hat) for every operator at one point."""
-    p_hat = np.asarray(p_hat, dtype=float)
+    p_hat = _query_point(model, p_hat)
     return {name: interp.gradient(p_hat) for name, interp in model.interpolants.items()}

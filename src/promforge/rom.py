@@ -24,7 +24,6 @@ __all__ = [
     "rayleigh_params",
     "assemble_damping",
     "linearize",
-    "reconstruct",
     "rom_model",
 ]
 
@@ -116,14 +115,6 @@ def assemble_damping(ops: RomOperators) -> np.ndarray:
 def linearize(ops: RomOperators) -> RomOperators:
     """Same model with the nonlinear tensors zeroed."""
     return replace(ops, tensors=IdentifiedTensors.zeros(ops.m, method="zero"))
-
-
-def reconstruct(basis: np.ndarray, eta_history: np.ndarray) -> np.ndarray:
-    """Map reduced-coordinate history (steps, m) back to full order (steps, n)."""
-    eta_history = np.atleast_2d(np.asarray(eta_history, dtype=float))
-    if eta_history.shape[1] != basis.shape[1]:
-        raise ValueError("reduced history width does not match the basis")
-    return eta_history @ basis.T
 
 
 def rom_model(ops: RomOperators, load_fn) -> ImplicitModel:

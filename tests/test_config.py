@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import yaml
@@ -74,6 +76,14 @@ def test_overrides_scalars():
     assert cfg.sampling.n_train == 4
     assert cfg.fe.n_elements == 16
     assert cfg.load.amplitude == 12.5
+
+
+def test_overrides_leave_input_untouched():
+    raw = {"sampling": {"n_train": 10}, "fe": {"n_elements": 40}}
+    before = copy.deepcopy(raw)
+    out = apply_overrides(raw, ["sampling.n_train=4"])
+    assert raw == before
+    assert out["sampling"]["n_train"] == 4
 
 
 def test_override_requires_assignment():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promforge.params import ParamBounds, SampleSet, denormalize, distance, lhs_sample, normalize
+from promforge.params import ParamBounds, SampleSet, denormalize, lhs_sample, normalize
 
 
 @pytest.fixture
@@ -49,15 +49,6 @@ def test_normalization_is_order_preserving(bounds):
     b = denormalize(rng.random(2), bounds)
     na, nb = normalize(a, bounds), normalize(b, bounds)
     assert np.all((a <= b) == (na <= nb))
-
-
-def test_distance_properties():
-    assert distance([0.3, 0.7], [0.3, 0.7]) == 0.0
-    np.testing.assert_allclose(distance(np.zeros(3), np.ones(3)), np.sqrt(3.0))
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b = rng.random(4), rng.random(4)
-        assert distance(a, b) == distance(b, a)
 
 
 def test_lhs_single_point():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from promforge.config import RunConfig
-from promforge.errors import StructureViolationError
+from promforge.errors import IllConditionedError, StructureViolationError
 from promforge.params import lhs_sample
 from promforge.rbf import (
     OPERATOR_NAMES,
@@ -16,6 +16,7 @@ from promforge.rbf import (
     fit_weights,
     kernel_eval,
     kernel_slope_over_distance,
+    operator_tables,
     operator_vectors,
     prom_gradient,
     validate_eps,
@@ -170,6 +171,23 @@ def test_prom_warns_on_extrapolation(synthetic_prom):
         evaluate_prom(model, np.array([1.4, 0.5]))
 
 
+@pytest.mark.parametrize("point", [[0.4], [0.4, 0.5, 0.6], [np.nan, 0.5], [0.4, np.inf]])
+@pytest.mark.parametrize("query", [evaluate_prom, prom_gradient])
+def test_prom_queries_reject_malformed_points(synthetic_prom, query, point):
+    # a 1-element point used to broadcast; a NaN point passed the positivity check
+    model, _, _ = synthetic_prom
+    with pytest.raises(ValueError):
+        query(model, np.array(point))
+
+
+def test_operator_tables_name_the_mismatched_operator(synthetic_prom):
+    _, roms, _ = synthetic_prom
+    tables = operator_tables(roms[:3])
+    assert tables["k3"].shape == (roms[0].tensors.k3_unique.size, 3)
+    with pytest.raises(ValueError, match="operator v"):
+        operator_tables([roms[0], synthetic_rom([0.5, 0.5], n=7)])
+
+
 def test_structure_violation_raises():
     train = lhs_sample(6, 2, seed=5).points
     roms = []
@@ -243,6 +261,68 @@ def test_validate_eps_rejects_fully_capped_grid(synthetic_prom):
             eps_grid=np.array([1e-4, 2e-4]),  # hopelessly flat kernels only
             condition_limit=1e3,
         )
+
+
+def test_validate_eps_rejects_rom_center_count_mismatch(synthetic_prom):
+    _, train_roms, train = synthetic_prom
+    val = lhs_sample(3, 2, seed=7).points
+    val_roms = [synthetic_rom(p) for p in val]
+    grid = np.array([1.0])
+    with pytest.raises(ValueError, match="validation"):
+        validate_eps(train_roms, train, val_roms, val[:2], eps_grid=grid)
+    with pytest.raises(ValueError, match="training"):
+        validate_eps(train_roms[:-1], train, val_roms, val, eps_grid=grid)
+
+
+def reference_curves(train_roms, train, val_roms, val, grid, kind, metric, condition_limit):
+    """The sweep computed the long way: a full weight fit per operator and
+    eps, then one interpolant evaluation per validation point."""
+    curves = {}
+    for name in OPERATOR_NAMES:
+        table = np.column_stack([operator_vectors(r)[name] for r in train_roms])
+        curve = np.full(grid.size, np.inf)
+        for k, eps in enumerate(grid):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    interp = fit_weights(table, train, RbfKernel(kind, eps))
+                except IllConditionedError:
+                    continue
+            if interp.condition > condition_limit:
+                continue
+            ratios = []
+            for rom, p in zip(val_roms, val):
+                exact = operator_vectors(rom)[name]
+                ratios.append(np.linalg.norm(exact - interp.evaluate(p)) / np.linalg.norm(exact))
+            ratios = np.asarray(ratios)
+            if metric == "verbatim":
+                curve[k] = np.sqrt(np.sum(ratios))
+            else:
+                curve[k] = np.sqrt(np.mean(ratios**2))
+        curves[name] = curve
+    return curves
+
+
+@pytest.mark.parametrize("metric", ["verbatim", "rms"])
+@pytest.mark.parametrize("kind", ["inverse_multiquadric", "gaussian"])
+def test_validate_eps_matches_per_operator_fits(synthetic_prom, kind, metric):
+    _, train_roms, train = synthetic_prom
+    val = lhs_sample(3, 2, seed=7).points
+    val_roms = [synthetic_rom(p) for p in val]
+    grid = np.logspace(-2.0, 1.0, 13)
+    limit = RunConfig().interpolation.condition_limit
+    report = validate_eps(
+        train_roms, train, val_roms, val, eps_grid=grid, kernel_kind=kind, metric=metric,
+        condition_limit=limit,
+    )
+    reference = reference_curves(train_roms, train, val_roms, val, grid, kind, metric, limit)
+    for name in OPERATOR_NAMES:
+        got, want = report.curves[name], reference[name]
+        usable = np.isfinite(want)
+        # the grid reaches values that condition_limit excludes, and usable ones
+        assert 0 < usable.sum() < grid.size, name
+        np.testing.assert_array_equal(np.isfinite(got), usable, err_msg=name)
+        np.testing.assert_allclose(got[usable], want[usable], rtol=1e-9, atol=0.0, err_msg=name)
 
 
 def test_rms_metric_variant(synthetic_prom):

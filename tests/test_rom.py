@@ -10,7 +10,6 @@ from promforge.rom import (
     assemble_damping,
     linearize,
     rayleigh_params,
-    reconstruct,
     reduced_force,
     reduced_tangent,
     rom_model,
@@ -301,7 +300,7 @@ def test_newmark_reports_divergence_step():
 
 
 # ----------------------------------------------------------------------
-# linearize / reconstruct
+# linearize / basis projection
 # ----------------------------------------------------------------------
 def test_linearize_zeroes_tensors(beam_rom):
     _, ops = beam_rom
@@ -315,21 +314,12 @@ def test_linearize_zeroes_tensors(beam_rom):
     np.testing.assert_array_equal(lin.basis, ops.basis)
 
 
-def test_reconstruct_basics(beam_rom):
-    _, ops = beam_rom
-    zeros = reconstruct(ops.basis, np.zeros((5, ops.m)))
-    np.testing.assert_array_equal(zeros, np.zeros((5, ops.n)))
-    one = np.zeros((1, ops.m))
-    one[0, 0] = 1.0
-    np.testing.assert_array_equal(reconstruct(ops.basis, one)[0], ops.basis[:, 0])
-
-
-def test_reconstruct_projection_round_trip(beam_rom):
+def test_basis_projection_round_trip(beam_rom):
     asm, ops = beam_rom
     M = asm.mass_matrix()
     rng = np.random.default_rng(2)
     eta = rng.standard_normal((4, ops.m))
-    q = reconstruct(ops.basis, eta)
+    q = eta @ ops.basis.T
     back = (ops.basis.T @ M @ q.T).T  # mass-orthonormal basis: V' M V = I
     np.testing.assert_allclose(back, eta, atol=1e-10)
 
