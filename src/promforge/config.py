@@ -207,6 +207,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     t = cfg.integration
     if t.t_span <= 0 or t.rom_steps_per_period < 2 or t.hfm_steps_per_period < 2:
         errors.append("integration settings invalid")
+    for fieldname in ("gamma", "beta"):
+        if getattr(t, fieldname) <= 0:
+            errors.append(f"integration.{fieldname} must be positive")
     if len(cfg.monitors) < 1:
         errors.append("at least one monitored dof required")
     if errors:

@@ -65,6 +65,8 @@ def newmark_integrate(
     """Integrate M q'' + C q' + f(q) = p(t) from rest (unless overridden)."""
     if dt <= 0.0 or t_span <= 0.0:
         raise ValueError("dt and t_span must be positive")
+    if beta <= 0.0:
+        raise ValueError("Newmark beta must be positive")
     d = model.size
     n_steps = max(1, int(np.ceil(t_span / dt - 1e-12)))
     time = dt * np.arange(n_steps + 1)

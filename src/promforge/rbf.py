@@ -352,7 +352,7 @@ def evaluate_prom(
     ValueError.
     """
     p_hat = _query_point(model, p_hat)
-    if np.any(p_hat < -1e-12) or np.any(p_hat > 1.0 + 1e-12):
+    if any(x < -1e-12 or x > 1.0 + 1e-12 for x in p_hat.tolist()):
         warnings.warn(
             f"evaluating outside the unit hypercube at {p_hat}: extrapolation",
             RuntimeWarning,

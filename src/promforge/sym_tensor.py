@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "n_unique",
     "sorted_multi_indices",
+    "unique_position",
     "unique_from_full",
     "full_from_unique",
     "symmetrize_full",
@@ -40,7 +41,7 @@ def sorted_multi_indices(m: int, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _unique_position(m: int, order: int) -> np.ndarray:
+def unique_position(m: int, order: int) -> np.ndarray:
     """Unique-entry position of every full-tensor index, shaped (m,) * order."""
     weights = m ** np.arange(order - 1, -1, -1)
     codes = weights @ np.sort(np.indices((m,) * order).reshape(order, -1), axis=0)
@@ -64,7 +65,7 @@ def full_from_unique(values: np.ndarray, m: int, order: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size != n_unique(m, order):
         raise ValueError("unique-entry vector has wrong length")
-    return values[_unique_position(m, order)]
+    return values[unique_position(m, order)]
 
 
 def symmetrize_full(full: np.ndarray) -> tuple[np.ndarray, float]:

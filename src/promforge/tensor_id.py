@@ -9,8 +9,9 @@ Two routes with the same output contract:
   tripled directions (2m + 2*C(m,2) + C(m,3) evaluations).  The reduced
   probe set is square only because the tensors are symmetric in all
   indices (they derive from an elastic potential); the extraction resolves
-  shared unknowns across probe pairs in a fixed order and records every
-  redundant equation as a consistency residual.
+  shared unknowns in a fixed order, one array step per probe phase, writing
+  straight into unique-entry arrays (`sym_tensor.unique_position`); the
+  first write to an entry wins and every redundant one is a residual.
 
 Both routes return fully symmetric tensors in unique-entry storage.
 """
@@ -25,9 +26,9 @@ import numpy as np
 from .sym_tensor import (
     full_from_unique,
     n_unique,
-    sorted_multi_indices,
     symmetrize_full,
     unique_from_full,
+    unique_position,
 )
 
 __all__ = [
@@ -187,32 +188,22 @@ def identify_eed(tangent_fn, basis: np.ndarray, scales, k1_reduced) -> Identifie
     )
 
 
-class _MultisetStore:
-    """Sorted-index value store that tracks redundant (consistency) writes."""
+def _first_write(store, slots, values) -> float:
+    """Write `values` into `store[slots]` in order; the first write to a NaN slot wins.
 
-    def __init__(self):
-        self.values = {}
-        self.deviations = []
+    Returns the largest |stored - new| over the writes that found their slot
+    already written (0.0 when none did): the consistency residual.
+    """
+    slots, values = slots.ravel(), values.ravel()
+    first = np.unique(slots, return_index=True)[1]
+    first = first[np.isnan(store[slots[first]])]
+    store[slots[first]] = values[first]
+    return float(np.abs(store[slots] - values).max(initial=0.0))
 
-    def put(self, key, value):
-        key = tuple(sorted(key))
-        if key in self.values:
-            self.deviations.append(abs(self.values[key] - value))
-        else:
-            self.values[key] = value
 
-    def get(self, key) -> float:
-        return self.values[tuple(sorted(key))]
-
-    def to_array(self, m: int, order: int) -> np.ndarray:
-        idx = sorted_multi_indices(m, order)
-        return np.array([self.values[tuple(row)] for row in idx])
-
-    def max_deviation(self) -> float:
-        if not self.deviations:
-            return 0.0
-        scale = max(abs(v) for v in self.values.values())
-        return max(self.deviations) / scale if scale > 0 else max(self.deviations)
+def _scale_direction(scales, tuples) -> np.ndarray:
+    """Per index tuple, the direction whose scale is its probe's (see `_pair_scale`)."""
+    return tuples[np.arange(len(tuples)), np.argmin(scales[tuples], axis=1)]
 
 
 def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTensors:
@@ -230,97 +221,95 @@ def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTe
         raise ValueError("scales / reduced stiffness do not match the basis width")
     plan = build_ed_plan(m, scales)
 
-    probes = {}
+    probes = []
     for label, eta in plan:
         f = force_fn(basis @ eta)
         if not np.all(np.isfinite(f)):
             raise ValueError(f"non-finite force evaluation at probe {label}")
-        probes[label] = basis.T @ f
+        probes.append(basis.T @ f)
 
-    k2 = _MultisetStore()
-    k3 = _MultisetStore()
+    # Each phase below is one array step over its probes (rows) and output
+    # components a (columns), using only entries earlier phases wrote.  A
+    # probe's scale is the smallest of its directions' `scales`, so its square
+    # and cube are gathered from per-direction ones that Python's `**` gives:
+    # numpy's array power differs from it in the last bit for some inputs.
+    pairs, triples = (
+        np.array(list(combinations(range(m), r)), dtype=np.int64).reshape(-1, r) for r in (2, 3)
+    )
+    n_pairs, a = len(pairs), np.arange(m)
+    sq, cu = (np.array([float(s) ** p for s in scales]) for p in (2, 3))
+    pos2, pos3 = unique_position(m, 3), unique_position(m, 4)
+    k2, k3 = np.full(n_unique(m, 3), np.nan), np.full(n_unique(m, 4), np.nan)
+
+    def quad(*idx):
+        return k2[pos2[idx]]
+
+    def cub(*idx):
+        return k3[pos3[idx]]
+
+    probes = np.array(probes)
+    plus_minus = probes[: 2 * m + 2 * n_pairs].reshape(-1, 2, m)
+    even = 0.5 * (plus_minus[:, 0] + plus_minus[:, 1])
+    odd = 0.5 * (plus_minus[:, 0] - plus_minus[:, 1])
 
     # singles: diagonal-direction slices for every output component
-    for i in range(m):
-        even = 0.5 * (probes[("single", i, +1.0)] + probes[("single", i, -1.0)])
-        odd = 0.5 * (probes[("single", i, +1.0)] - probes[("single", i, -1.0)])
-        s = scales[i]
-        for a in range(m):
-            k2.put((a, i, i), even[a] / s**2)
-            k3.put((a, i, i, i), (odd[a] - s * k1_reduced[a, i]) / s**3)
+    i = a[:, None]
+    dev2 = _first_write(k2, pos2[a, i, i], even[:m] / sq[i])
+    dev3 = _first_write(k3, pos3[a, i, i, i], (odd[:m] - scales[i] * k1_reduced[a, i]) / cu[i])
 
     # pairs: even part gives one-repeat cubic entries, odd part couples the
     # three-distinct quadratic entry with the remaining cubic entry
-    combos = {}
-    for i, j in combinations(range(m), 2):
-        s = _pair_scale(scales, (i, j))
-        p1 = probes[("pair", i, j, +1.0)]
-        p2 = probes[("pair", i, j, -1.0)]
-        even = 0.5 * (p1 + p2)
-        odd = 0.5 * (p1 - p2)
-        for a in range(m):
-            val = (
-                even[a]
-                - s * k1_reduced[a, i]
-                - s**2 * (k2.get((a, i, i)) + k2.get((a, j, j)))
-                - s**3 * k3.get((a, i, i, i))
-            ) / (3.0 * s**3)
-            k3.put((a, i, j, j), val)
-            combo = odd[a] - s * k1_reduced[a, j] - s**3 * k3.get((a, j, j, j))
-            if a == i:
-                k3.put((i, i, i, j), (combo - 2.0 * s**2 * k2.get((i, i, j))) / (3.0 * s**3))
-            elif a == j:
-                k3.put((i, i, j, j), (combo - 2.0 * s**2 * k2.get((i, j, j))) / (3.0 * s**3))
-            else:
-                combos[(a, i, j)] = (combo, s)
+    d = _scale_direction(scales, pairs)
+    s, s2, s3 = scales[d, None], sq[d, None], cu[d, None]
+    i, j = pairs[:, :1], pairs[:, 1:]
+    val = (
+        even[m:] - s * k1_reduced[a, i] - s2 * (quad(a, i, i) + quad(a, j, j)) - s3 * cub(a, i, i, i)
+    ) / (3.0 * s3)
+    combo = odd[m:] - s * k1_reduced[a, j] - s3 * cub(a, j, j, j)
+    dev3 = max(dev3, _first_write(k3, pos3[a, i, j, j], val))
+    # where a is i or j, K2_aij is a singles entry and the odd part gives
+    # K3_aiij again: an entry already written, so only a consistency residual
+    own = (a == i) | (a == j)
+    closed = (combo - 2.0 * s2 * quad(a, i, j)) / (3.0 * s3)
+    dev3 = max(dev3, _first_write(k3, pos3[a, i, i, j][own], closed[own]))
 
     # resolve all-distinct index triples using the shared-unknown structure
-    for i, j, k in combinations(range(m), 3):
-        combo_i, s_jk = combos[(i, j, k)]
-        x = (combo_i - 3.0 * s_jk**3 * k3.get((i, j, j, k))) / (2.0 * s_jk**2)
-        k2.put((i, j, k), x)
-        combo_k, s_ij = combos[(k, i, j)]
-        k3.put((i, i, j, k), (combo_k - 2.0 * s_ij**2 * x) / (3.0 * s_ij**3))
-        combo_j, s_ik = combos[(j, i, k)]
-        k3.put((i, i, j, k), (combo_j - 2.0 * s_ik**2 * x) / (3.0 * s_ik**3))
+    pair_at = np.zeros((m, m), dtype=np.int64)
+    pair_at[pairs[:, 0], pairs[:, 1]] = np.arange(n_pairs)
+    i, j, k = triples.T
+    jk, ij, ik = pair_at[j, k], pair_at[i, j], pair_at[i, k]
+    x = (combo[jk, i] - 3.0 * cu[d[jk]] * cub(i, j, j, k)) / (2.0 * sq[d[jk]])
+    dev2 = max(dev2, _first_write(k2, pos2[i, j, k], x))
+    for pair, c in ((ij, k), (ik, j)):
+        iijk = (combo[pair, c] - 2.0 * sq[d[pair]] * x) / (3.0 * cu[d[pair]])
+        dev3 = max(dev3, _first_write(k3, pos3[i, i, j, k], iijk))
 
     # triples: four-distinct cubic entries (plus consistency for the rest)
-    for i, j, k in combinations(range(m), 3):
-        s = _pair_scale(scales, (i, j, k))
-        t_probe = probes[("triple", i, j, k)]
-        for a in range(m):
-            known = s * (k1_reduced[a, i] + k1_reduced[a, j] + k1_reduced[a, k])
-            known += s**2 * (
-                k2.get((a, i, i))
-                + k2.get((a, j, j))
-                + k2.get((a, k, k))
-                + 2.0 * (k2.get((a, i, j)) + k2.get((a, i, k)) + k2.get((a, j, k)))
-            )
-            known += s**3 * (
-                k3.get((a, i, i, i))
-                + k3.get((a, j, j, j))
-                + k3.get((a, k, k, k))
-                + 3.0
-                * (
-                    k3.get((a, i, i, j))
-                    + k3.get((a, i, j, j))
-                    + k3.get((a, i, i, k))
-                    + k3.get((a, i, k, k))
-                    + k3.get((a, j, j, k))
-                    + k3.get((a, j, k, k))
-                )
-            )
-            k3.put((a, i, j, k), (t_probe[a] - known) / (6.0 * s**3))
+    d = _scale_direction(scales, triples)
+    s, s2, s3 = scales[d, None], sq[d, None], cu[d, None]
+    i, j, k = triples[:, :1], triples[:, 1:2], triples[:, 2:]
+    known = s * (k1_reduced[a, i] + k1_reduced[a, j] + k1_reduced[a, k])
+    known += s2 * (
+        quad(a, i, i) + quad(a, j, j) + quad(a, k, k)
+        + 2.0 * (quad(a, i, j) + quad(a, i, k) + quad(a, j, k))
+    )
+    known += s3 * (
+        cub(a, i, i, i) + cub(a, j, j, j) + cub(a, k, k, k)
+        + 3.0 * (
+            cub(a, i, i, j) + cub(a, i, j, j) + cub(a, i, i, k)
+            + cub(a, i, k, k) + cub(a, j, j, k) + cub(a, j, k, k)
+        )
+    )
+    t_probe = probes[2 * m + 2 * n_pairs :]
+    dev3 = max(dev3, _first_write(k3, pos3[a, i, j, k], (t_probe - known) / (6.0 * s3)))
 
-    asym = max(k2.max_deviation(), k3.max_deviation())
+    asym = max(
+        dev / scale if scale > 0 else dev
+        for dev, scale in ((dev2, np.abs(k2).max()), (dev3, np.abs(k3).max()))
+    )
     return IdentifiedTensors(
-        m=m,
-        k2_unique=k2.to_array(m, 3),
-        k3_unique=k3.to_array(m, 4),
-        method="ed",
-        scales=scales,
-        asymmetry=asym,
-        eval_count=len(plan),
+        m=m, k2_unique=k2, k3_unique=k3, method="ed",
+        scales=scales, asymmetry=float(asym), eval_count=len(plan),
     )
 
 

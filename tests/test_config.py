@@ -69,6 +69,12 @@ def test_rejects_invalid_values(patch):
         config_from_dict(patch)
 
 
+@pytest.mark.parametrize("field, value", [("beta", 0.0), ("beta", -0.25), ("gamma", -1.0)])
+def test_rejects_nonpositive_newmark_parameters(field, value):
+    with pytest.raises(ValueError, match=f"integration.{field} must be positive"):
+        config_from_dict({"integration": {field: value}})
+
+
 def test_overrides_scalars():
     raw = {"sampling": {"n_train": 10}}
     out = apply_overrides(raw, ["sampling.n_train=4", "fe.n_elements=16", "load.amplitude=12.5"])

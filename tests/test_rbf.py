@@ -165,10 +165,23 @@ def test_prom_interpolates_smooth_data_well(synthetic_prom):
         assert np.linalg.norm(a - b) < 0.05 * np.linalg.norm(b), name
 
 
-def test_prom_warns_on_extrapolation(synthetic_prom):
+@pytest.mark.parametrize(
+    "point, outside",
+    [
+        pytest.param([1.4, 0.5], True, id="first-above"),
+        pytest.param([-0.1, 0.5], True, id="first-negative"),
+        pytest.param([0.5, 1.2], True, id="second-above"),
+        pytest.param([0.0, 0.0], False, id="corner-0"),
+        pytest.param([1.0, 1.0], False, id="corner-1"),
+    ],
+)
+def test_prom_warns_on_extrapolation(synthetic_prom, point, outside):
     model, _, _ = synthetic_prom
-    with pytest.warns(RuntimeWarning):
-        evaluate_prom(model, np.array([1.4, 0.5]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate_prom(model, np.array(point))
+    warned = [w for w in caught if w.category is RuntimeWarning and "extrapolation" in str(w.message)]
+    assert bool(warned) == outside
 
 
 @pytest.mark.parametrize("point", [[0.4], [0.4, 0.5, 0.6], [np.nan, 0.5], [0.4, np.inf]])

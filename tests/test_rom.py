@@ -299,6 +299,13 @@ def test_newmark_reports_divergence_step():
     assert err.value.context["step"] >= 1
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.25])
+def test_newmark_rejects_nonpositive_beta(beta):
+    # beta = 0 used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="beta"):
+        newmark_integrate(_sdof_model(), t_span=0.1, dt=0.05, beta=beta)
+
+
 # ----------------------------------------------------------------------
 # linearize / basis projection
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.direct_tensors import reduced_tensors_direct
@@ -8,6 +12,7 @@ from promforge.sym_tensor import (
     force_cubic,
     force_quadratic,
     full_from_unique,
+    sorted_multi_indices,
     symmetrize_full,
     tangent_cubic,
     tangent_quadratic,
@@ -151,6 +156,131 @@ def test_ed_recovers_synthetic_tensors(m):
     np.testing.assert_allclose(ed.k2_unique, model.k2u, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(ed.k3_unique, model.k3u, rtol=1e-9, atol=1e-11)
     assert ed.asymmetry < 1e-9
+
+
+@st.composite
+def cubic_models(draw):
+    m = draw(st.integers(1, 6))
+    scales = draw(st.lists(st.floats(0.2, 3.0), min_size=m, max_size=m))
+    return SyntheticCubicModel(m, seed=draw(st.integers(0, 2**32 - 1))), np.array(scales)
+
+
+@given(cubic_models())
+@settings(max_examples=40, deadline=None)
+def test_identification_recovers_random_cubic_models(case):
+    # Muravyov & Rizzi (2003): both routes are exact on a cubic potential
+    model, scales = case
+    v = np.eye(model.m)
+    for tensors in (
+        identify_ed(model.force, v, scales, model.k1),
+        identify_eed(model.tangent, v, scales, model.k1),
+    ):
+        for got, exact in ((tensors.k2_unique, model.k2u), (tensors.k3_unique, model.k3u)):
+            assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact), tensors.method
+        assert tensors.asymmetry < 1e-9, tensors.method
+
+
+def _identify_ed_scalar(force_fn, scales, k1):
+    """Reference: the force-based extraction one entry at a time, with the
+    same fixed order and first-write-wins store (identity basis)."""
+    m = len(scales)
+    probes = {label: force_fn(eta) for label, eta in build_ed_plan(m, scales)}
+    stores = ({}, {})  # k2, k3: sorted index tuple -> value
+    deviations = ([], [])
+
+    def put(key, value):
+        order = len(key) - 3
+        key = tuple(sorted(key))
+        if key in stores[order]:
+            deviations[order].append(abs(stores[order][key] - value))
+        else:
+            stores[order][key] = value
+
+    def get(*key):
+        return stores[len(key) - 3][tuple(sorted(key))]
+
+    for i in range(m):
+        p, n = probes[("single", i, 1.0)], probes[("single", i, -1.0)]
+        s = scales[i]
+        for a in range(m):
+            put((a, i, i), 0.5 * (p[a] + n[a]) / s**2)
+            put((a, i, i, i), (0.5 * (p[a] - n[a]) - s * k1[a, i]) / s**3)
+    combos = {}
+    for i, j in combinations(range(m), 2):
+        s = float(min(scales[i], scales[j]))
+        p, n = probes[("pair", i, j, 1.0)], probes[("pair", i, j, -1.0)]
+        for a in range(m):
+            even, odd = 0.5 * (p[a] + n[a]), 0.5 * (p[a] - n[a])
+            put(
+                (a, i, j, j),
+                (even - s * k1[a, i] - s**2 * (get(a, i, i) + get(a, j, j)) - s**3 * get(a, i, i, i))
+                / (3.0 * s**3),
+            )
+            combo = odd - s * k1[a, j] - s**3 * get(a, j, j, j)
+            if a in (i, j):
+                put((a, i, i, j), (combo - 2.0 * s**2 * get(a, i, j)) / (3.0 * s**3))
+            else:
+                combos[(a, i, j)] = (combo, s)
+    for i, j, k in combinations(range(m), 3):
+        combo, s = combos[(i, j, k)]
+        x = (combo - 3.0 * s**3 * get(i, j, j, k)) / (2.0 * s**2)
+        put((i, j, k), x)
+        for combo, s in (combos[(k, i, j)], combos[(j, i, k)]):
+            put((i, i, j, k), (combo - 2.0 * s**2 * x) / (3.0 * s**3))
+    for i, j, k in combinations(range(m), 3):
+        s = float(min(scales[i], scales[j], scales[k]))
+        t = probes[("triple", i, j, k)]
+        for a in range(m):
+            known = s * (k1[a, i] + k1[a, j] + k1[a, k])
+            known += s**2 * (
+                get(a, i, i) + get(a, j, j) + get(a, k, k)
+                + 2.0 * (get(a, i, j) + get(a, i, k) + get(a, j, k))
+            )
+            known += s**3 * (
+                get(a, i, i, i) + get(a, j, j, j) + get(a, k, k, k)
+                + 3.0 * (
+                    get(a, i, i, j) + get(a, i, j, j) + get(a, i, i, k)
+                    + get(a, i, k, k) + get(a, j, j, k) + get(a, j, k, k)
+                )
+            )
+            put((a, i, j, k), (t[a] - known) / (6.0 * s**3))
+    unique = [
+        np.array([store[tuple(row)] for row in sorted_multi_indices(m, order)])
+        for order, store in zip((3, 4), stores)
+    ]
+    asym = max(
+        max(dev) / np.abs(u).max() if dev else 0.0 for dev, u in zip(deviations, unique)
+    )
+    return unique[0], unique[1], asym
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_ed_matches_scalar_reference_bit_for_bit(m, broken):
+    model = SyntheticCubicModel(m, seed=30 + m)
+    if broken:  # redundant writes disagree, so which write wins shows
+        model.k3[0, -1, 0, min(2, m - 1)] += 1e-3
+    scales = np.random.default_rng(m).uniform(0.2, 3.0, m)
+    k2u, k3u, asym = _identify_ed_scalar(model.force, scales, model.k1)
+    ed = identify_ed(model.force, np.eye(m), scales, model.k1)
+    np.testing.assert_array_equal(ed.k2_unique, k2u)
+    np.testing.assert_array_equal(ed.k3_unique, k3u)
+    assert ed.asymmetry == asym
+    assert (asym > 1e-6) == (broken and m > 1)
+
+
+def test_ed_consistency_residual_scales_with_broken_symmetry():
+    model = SyntheticCubicModel(4, seed=21)
+    v, scales = np.eye(4), np.full(4, 0.7)
+    exact = model.k3
+
+    def asymmetry(delta):
+        model.k3 = exact.copy()
+        model.k3[0, 1, 2, 3] += delta
+        return identify_ed(model.force, v, scales, model.k1).asymmetry
+
+    asym_small, asym_large = asymmetry(1e-6), asymmetry(1e-3)
+    assert asym_large == pytest.approx(1e3 * asym_small, rel=1e-3)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
