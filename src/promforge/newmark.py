@@ -2,11 +2,14 @@
 
 One driver for both the full-order model and the reduced model: anything
 exposing mass/damping matrices, a force callable, its tangent, and a
-load-at-time callable integrates through the same code path.
+load-at-time callable integrates through the same code path.  A diagonal
+mass or damping may be given as its 1-D diagonal; it then multiplies
+elementwise instead of through a mat-vec.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,8 +24,8 @@ __all__ = ["ImplicitModel", "TimeHistory", "newmark_integrate"]
 class ImplicitModel:
     """Second-order model contract shared by full-order and reduced systems."""
 
-    mass: np.ndarray
-    damping: np.ndarray
+    mass: np.ndarray  # (d, d), or (d,) for a diagonal
+    damping: np.ndarray  # (d, d), or (d,) for a diagonal
     force: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
     load: Callable[[float], np.ndarray]
@@ -67,9 +70,14 @@ def newmark_integrate(
         raise ValueError("dt and t_span must be positive")
     if beta <= 0.0:
         raise ValueError("Newmark beta must be positive")
+    if newton_max_iterations < 1:
+        raise ValueError("newton_max_iterations must be at least 1")
     d = model.size
     n_steps = max(1, int(np.ceil(t_span / dt - 1e-12)))
     time = dt * np.arange(n_steps + 1)
+    mass = model.mass
+    apply_mass, apply_damping = _operator(mass), _operator(model.damping)
+    force, tangent, load = model.force, model.tangent, model.load
 
     q = np.zeros((n_steps + 1, d))
     v = np.zeros((n_steps + 1, d))
@@ -78,44 +86,43 @@ def newmark_integrate(
         q[0] = np.asarray(q0, dtype=float)
     if v0 is not None:
         v[0] = np.asarray(v0, dtype=float)
-    a[0] = np.linalg.solve(
-        model.mass, model.load(0.0) - model.damping @ v[0] - model.force(q[0])
-    )
+    rhs = load(0.0) - apply_damping(v[0]) - force(q[0])
+    a[0] = rhs / mass if mass.ndim == 1 else np.linalg.solve(mass, rhs)
 
     c0 = 1.0 / (beta * dt**2)
     c1 = gamma / (beta * dt)
-    lhs = c0 * model.mass + c1 * model.damping  # Newton Jacobian minus the tangent
+    lhs = c0 * mass + c1 * model.damping  # Newton Jacobian minus the tangent
+    if lhs.ndim == 1:
+        lhs = np.diag(lhs)
+    # scalar factors of the predictor and corrector, formed once
+    q_a, v_a, start_a = dt**2 * (0.5 - beta), dt * (1.0 - gamma), dt**2 * beta
+    gdt = gamma * dt
+    v_corr = gdt * c0
     corrections = np.zeros(n_steps, dtype=np.int64)
     residuals = np.zeros(n_steps)
     for k in range(n_steps):
         t_new = time[k + 1]
-        p_new = model.load(t_new)
-        q_pred = q[k] + dt * v[k] + dt**2 * (0.5 - beta) * a[k]
-        v_pred = v[k] + dt * (1.0 - gamma) * a[k]
+        p_new = load(t_new)
+        p_norm = _norm(p_new)
+        q_pred = q[k] + dt * v[k] + q_a * a[k]
+        v_pred = v[k] + v_a * a[k]
 
-        q_new = q_pred + dt**2 * beta * a[k]  # constant-acceleration start
+        q_new = q_pred + start_a * a[k]  # constant-acceleration start
         converged = False
         for it in range(newton_max_iterations):
             a_new = c0 * (q_new - q_pred)
-            v_new = v_pred + gamma * dt * a_new
-            f_int = model.force(q_new)
-            inertia = model.mass @ a_new
-            damping = model.damping @ v_new
+            v_new = v_pred + gdt * a_new
+            f_int = force(q_new)
+            inertia = apply_mass(a_new)
+            damping = apply_damping(v_new)
             r = inertia + damping + f_int - p_new
-            ref = max(
-                np.linalg.norm(p_new),
-                np.linalg.norm(f_int),
-                np.linalg.norm(inertia),
-                np.linalg.norm(damping),
-            )
-            r_norm = np.linalg.norm(r)
+            ref = max(p_norm, _norm(f_int), _norm(inertia), _norm(damping))
+            r_norm = _norm(r)
             if r_norm <= newton_tol_abs + newton_tol_rel * max(ref, 1e-30):
                 converged = True
                 break
-            jac = lhs + model.tangent(q_new)
-            dq = np.linalg.solve(jac, r)
-            q_new = q_new - dq
-            if not np.all(np.isfinite(q_new)):
+            q_new = q_new - np.linalg.solve(lhs + tangent(q_new), r)
+            if not np.isfinite(q_new).all():
                 break
         if not converged:
             raise NonConvergenceError(
@@ -126,10 +133,21 @@ def newmark_integrate(
         corrections[k] = it
         residuals[k] = r_norm
         q[k + 1] = q_new
-        v[k + 1] = v_pred + gamma * dt * c0 * (q_new - q_pred)
-        a[k + 1] = c0 * (q_new - q_pred)
+        v[k + 1] = v_pred + v_corr * (q_new - q_pred)
+        a[k + 1] = a_new  # formed at the converged q_new
 
     return TimeHistory(
         time=time, displacement=q, velocity=v, acceleration=a, kind=kind,
         meta={"newton_corrections": corrections, "residual_norm": residuals},
     )
+
+
+def _operator(matrix: np.ndarray):
+    """x -> M x, elementwise when M is stored as its 1-D diagonal."""
+    return matrix.__mul__ if matrix.ndim == 1 else matrix.dot
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector: np.linalg.norm's sqrt(x.dot(x))
+    without its dispatch."""
+    return math.sqrt(x.dot(x))

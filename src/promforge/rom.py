@@ -3,7 +3,8 @@
 A ROM is the reduction basis plus diagonal reduced mass (identity by
 construction), diagonal linear stiffness, unique-entry quadratic/cubic
 tensors, and the two Rayleigh damping coefficients.  The force and tangent
-contract the dense tensors, expanded on first use.
+contract the dense tensors, expanded on first use; the force keeps K2·eta
+and (K3·eta)·eta, so the tangent at the same eta contracts nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ class RomOperators:
     alpha: float  # Rayleigh mass coefficient, 1/s
     beta: float  # Rayleigh stiffness coefficient, s
     p_hat: np.ndarray = field(default=None)  # source parameter point
+    # (eta bytes, K2·eta, (K3·eta)·eta) of the last reduced_force call;
+    # `replace` starts a copy without it
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
@@ -66,6 +70,11 @@ class RomOperators:
         return np.sqrt(self.k1_diag)
 
     @cached_property
+    def k1(self) -> np.ndarray:
+        """Dense diagonal linear stiffness (m, m), built on first use."""
+        return np.diag(self.k1_diag)
+
+    @cached_property
     def k2(self) -> np.ndarray:
         """Dense quadratic tensor (m, m, m), expanded on first use."""
         return self.tensors.k2_full()
@@ -77,23 +86,32 @@ class RomOperators:
 
 
 def reduced_force(ops: RomOperators, eta) -> np.ndarray:
-    """Cubic restoring force in reduced coordinates."""
+    """Cubic restoring force in reduced coordinates.
+
+    Contracts K2 once and K3 twice to T2 = K2·eta and T3 = (K3·eta)·eta,
+    finishes the force with one mat-vec each and keeps both on `ops` for
+    :func:`reduced_tangent` at this eta.
+    """
     eta = np.asarray(eta, dtype=float)
-    return (
-        ops.k1_diag * eta
-        + force_quadratic(ops.k2, eta)
-        + force_cubic(ops.k3, eta)
-    )
+    t2 = tangent_quadratic(ops.k2, eta)
+    t3 = tangent_cubic(ops.k3, eta)
+    force = ops.k1_diag * eta + force_quadratic(t2, eta) + force_cubic(t3, eta)
+    ops._last = (eta.tobytes(), t2, t3)
+    return force
 
 
 def reduced_tangent(ops: RomOperators, eta) -> np.ndarray:
-    """Jacobian of the reduced force; quadratic in the reduced coordinates."""
+    """Jacobian of the reduced force; quadratic in the reduced coordinates.
+
+    At the eta of the last :func:`reduced_force` call, bit for bit, it
+    reuses that call's T2 and T3; at any other eta it contracts afresh.
+    """
     eta = np.asarray(eta, dtype=float)
-    return (
-        np.diag(ops.k1_diag)
-        + 2.0 * tangent_quadratic(ops.k2, eta)
-        + 3.0 * tangent_cubic(ops.k3, eta)
-    )
+    if ops._last is not None and ops._last[0] == eta.tobytes():
+        _, t2, t3 = ops._last
+    else:
+        t2, t3 = tangent_quadratic(ops.k2, eta), tangent_cubic(ops.k3, eta)
+    return ops.k1 + 2.0 * t2 + 3.0 * t3
 
 
 def rayleigh_params(omega1: float, omega2: float, zeta: float) -> tuple[float, float]:
@@ -121,15 +139,16 @@ def rom_model(ops: RomOperators, load_fn) -> ImplicitModel:
     """Wrap the ROM in the shared integration contract.
 
     `load_fn` maps time to the full-order load vector; it is projected on
-    the basis here.  The model integrates a private copy of `ops`, so its
-    dense tensors are freed with the model instead of staying on `ops`.
+    the basis here.  Mass (the identity) and damping are diagonal and
+    passed as their diagonals.  The model integrates a private copy of
+    `ops`, so its dense tensors and force cache are freed with the model
+    instead of staying on `ops`.
     """
     ops = replace(ops)
     vt = ops.basis.T
-    damping = np.diag(assemble_damping(ops))
     return ImplicitModel(
-        mass=np.eye(ops.m),
-        damping=damping,
+        mass=np.ones(ops.m),
+        damping=assemble_damping(ops),
         force=lambda eta: reduced_force(ops, eta),
         tangent=lambda eta: reduced_tangent(ops, eta),
         load=lambda t: vt @ load_fn(t),

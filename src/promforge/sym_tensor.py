@@ -4,7 +4,10 @@ Cubic and quartic stiffness tensors are symmetric in all indices, so
 identification, persistence and interpolation store only the entries with
 sorted indices.  At run time a reduced model expands them once into the
 full tensor (one gather, :func:`full_from_unique`), and the reduced force
-and tangent contract that dense tensor with one 2-D mat-vec per index.
+and tangent contract that dense tensor with one 2-D mat-vec per index.  A
+force contracts every index after the first, so it also finishes from the
+tangent: ``force_cubic(tangent_cubic(k3, eta), eta)`` equals
+``force_cubic(k3, eta)`` bit for bit, being the same chain of mat-vecs.
 """
 
 from __future__ import annotations
@@ -83,18 +86,20 @@ def _contract(tensor: np.ndarray, eta: np.ndarray, times: int) -> np.ndarray:
     m = tensor.shape[0]
     out = tensor
     for _ in range(times):
-        out = out.reshape(-1, m) @ eta
+        out = out.reshape(-1, m).dot(eta)
     return out.reshape((m,) * (tensor.ndim - times))
 
 
 def force_quadratic(k2: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """f_a = K2_{ajk} eta_j eta_k from the full (m, m, m) tensor."""
-    return _contract(k2, eta, 2)
+    """f_a = K2_{ajk} eta_j eta_k from the full (m, m, m) tensor, or
+    T_{ak} eta_k from T = tangent_quadratic(k2, eta)."""
+    return _contract(k2, eta, k2.ndim - 1)
 
 
 def force_cubic(k3: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """f_a = K3_{ajkl} eta_j eta_k eta_l from the full (m, m, m, m) tensor."""
-    return _contract(k3, eta, 3)
+    """f_a = K3_{ajkl} eta_j eta_k eta_l from the full (m, m, m, m) tensor, or
+    T_{al} eta_l from T = tangent_cubic(k3, eta)."""
+    return _contract(k3, eta, k3.ndim - 1)
 
 
 def tangent_quadratic(k2: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -90,13 +90,15 @@ def plan_scales(basis: np.ndarray, assembly, target_thickness: float) -> np.ndar
     return target_thickness * t / wmax
 
 
-def _pair_scale(scales, idx) -> float:
-    return float(np.min(scales[list(idx)]))
+def _pair_scale(scales: list[float], idx) -> float:
+    """Smallest of the directions' scales; a min is exact, so a Python list does."""
+    return min([scales[i] for i in idx])
 
 
 def build_eed_plan(m: int, scales) -> list[tuple]:
     """Probe labels/coordinates for tangent-based identification."""
     scales = np.asarray(scales, dtype=float)
+    listed = scales.tolist()
     plan = []
     for i in range(m):
         for sign in (+1.0, -1.0):
@@ -104,7 +106,7 @@ def build_eed_plan(m: int, scales) -> list[tuple]:
             eta[i] = sign * scales[i]
             plan.append((("single", i, sign), eta))
     for i, j in combinations(range(m), 2):
-        s = _pair_scale(scales, (i, j))
+        s = _pair_scale(listed, (i, j))
         eta = np.zeros(m)
         eta[i] = s
         eta[j] = s
@@ -115,6 +117,7 @@ def build_eed_plan(m: int, scales) -> list[tuple]:
 def build_ed_plan(m: int, scales) -> list[tuple]:
     """Probe labels/coordinates for force-based identification."""
     scales = np.asarray(scales, dtype=float)
+    listed = scales.tolist()
     plan = []
     for i in range(m):
         for sign in (+1.0, -1.0):
@@ -122,14 +125,14 @@ def build_ed_plan(m: int, scales) -> list[tuple]:
             eta[i] = sign * scales[i]
             plan.append((("single", i, sign), eta))
     for i, j in combinations(range(m), 2):
-        s = _pair_scale(scales, (i, j))
+        s = _pair_scale(listed, (i, j))
         for sign in (+1.0, -1.0):
             eta = np.zeros(m)
             eta[i] = s
             eta[j] = sign * s
             plan.append((("pair", i, j, sign), eta))
     for i, j, k in combinations(range(m), 3):
-        s = _pair_scale(scales, (i, j, k))
+        s = _pair_scale(listed, (i, j, k))
         eta = np.zeros(m)
         eta[[i, j, k]] = s
         plan.append((("triple", i, j, k), eta))
@@ -153,7 +156,7 @@ def identify_eed(tangent_fn, basis: np.ndarray, scales, k1_reduced) -> Identifie
     reduced = {}
     for label, eta in plan:
         kt = tangent_fn(basis @ eta)
-        if not np.all(np.isfinite(kt)):
+        if not np.isfinite(kt).all():
             raise ValueError(f"non-finite tangent evaluation at probe {label}")
         reduced[label] = basis.T @ kt @ basis
 
@@ -164,8 +167,9 @@ def identify_eed(tangent_fn, basis: np.ndarray, scales, k1_reduced) -> Identifie
         a_m = reduced[("single", i, -1.0)]
         k2_raw[:, :, i] = (a_p - a_m) / (4.0 * scales[i])
         k3_raw[:, :, i, i] = (a_p + a_m - 2.0 * k1_reduced) / (6.0 * scales[i] ** 2)
+    listed = scales.tolist()
     for i, j in combinations(range(m), 2):
-        s = _pair_scale(scales, (i, j))
+        s = _pair_scale(listed, (i, j))
         b = reduced[("pair", i, j)]
         cross = (
             b
@@ -224,7 +228,7 @@ def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTe
     probes = []
     for label, eta in plan:
         f = force_fn(basis @ eta)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError(f"non-finite force evaluation at probe {label}")
         probes.append(basis.T @ f)
 

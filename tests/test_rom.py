@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
+from promforge.beam_fe import (
+    BeamSpec,
+    CurvedBeamAssembly,
+    GeometryParams,
+    PulseLoad,
+    uniform_transverse_pattern,
+)
 from promforge.errors import NonConvergenceError
 from promforge.newmark import ImplicitModel, TimeHistory, newmark_integrate
 from promforge.rom import (
@@ -90,6 +98,62 @@ def test_reduced_tangent_fd_second_order(beam_rom):
     h = 1e-4 * np.linalg.norm(eta)
     fd = (reduced_force(ops, eta + h * v) - reduced_force(ops, eta - h * v)) / (2 * h)
     assert np.linalg.norm(fd - ref) / np.linalg.norm(ref) < 1e-6
+
+
+def _chain(tensor, eta, times):
+    """Unfused contraction: the trailing `times` indices, one 2-D `@` each."""
+    m = tensor.shape[0]
+    out = tensor
+    for _ in range(times):
+        out = out.reshape(-1, m) @ eta
+    return out.reshape((m,) * (tensor.ndim - times))
+
+
+def _unfused_force(ops, eta):
+    return ops.k1_diag * eta + _chain(ops.k2, eta, 2) + _chain(ops.k3, eta, 3)
+
+
+def _unfused_tangent(ops, eta):
+    return np.diag(ops.k1_diag) + 2.0 * _chain(ops.k2, eta, 1) + 3.0 * _chain(ops.k3, eta, 2)
+
+
+def _random_rom(m, seed):
+    rng = np.random.default_rng(seed)
+    tensors = IdentifiedTensors(
+        m=m,
+        k2_unique=rng.standard_normal(n_unique(m, 3)),
+        k3_unique=rng.standard_normal(n_unique(m, 4)),
+        method="direct",
+    )
+    return RomOperators(
+        basis=np.eye(m), k1_diag=rng.uniform(1.0, 10.0, m), tensors=tensors, alpha=0.01, beta=0.001
+    )
+
+
+@given(
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(["same-eta", "other-eta", "mutated-in-place"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fused_force_and_tangent_match_unfused_bit_for_bit(m, seed, case):
+    ops = _random_rom(m, seed)
+    rng = np.random.default_rng([seed, 1])
+    eta = rng.standard_normal(m)
+    np.testing.assert_array_equal(reduced_force(ops, eta), _unfused_force(ops, eta))
+    if case == "other-eta":
+        eta = rng.standard_normal(m)
+    elif case == "mutated-in-place":
+        eta[rng.integers(m)] += 0.5
+    np.testing.assert_array_equal(reduced_tangent(ops, eta), _unfused_tangent(ops, eta))
+
+
+def test_copies_start_without_the_force_cache():
+    # T2/T3 cached on the nonlinear model must not reach its linearized copy
+    ops = _random_rom(3, 5)
+    eta = np.full(3, 0.25)
+    reduced_force(ops, eta)
+    np.testing.assert_array_equal(reduced_tangent(linearize(ops), eta), np.diag(ops.k1_diag))
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +368,110 @@ def test_newmark_rejects_nonpositive_beta(beta):
     # beta = 0 used to raise ZeroDivisionError
     with pytest.raises(ValueError, match="beta"):
         newmark_integrate(_sdof_model(), t_span=0.1, dt=0.05, beta=beta)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_newmark_rejects_no_newton_iterations(iterations):
+    # 0 used to fail with UnboundLocalError on the residual norm
+    with pytest.raises(ValueError, match="newton_max_iterations"):
+        newmark_integrate(_sdof_model(), t_span=0.1, dt=0.05, newton_max_iterations=iterations)
+
+
+def _newmark_reference(model, t_span, dt, gamma=0.5, beta=0.25,
+                       newton_tol_rel=1e-8, newton_tol_abs=0.0, newton_max_iterations=20):
+    """Dense-matrix Newmark loop, kept as the reference the driver must match bit for bit."""
+    d = model.size
+    n_steps = max(1, int(np.ceil(t_span / dt - 1e-12)))
+    time = dt * np.arange(n_steps + 1)
+    q = np.zeros((n_steps + 1, d))
+    v = np.zeros((n_steps + 1, d))
+    a = np.zeros((n_steps + 1, d))
+    a[0] = np.linalg.solve(
+        model.mass, model.load(0.0) - model.damping @ v[0] - model.force(q[0])
+    )
+    c0 = 1.0 / (beta * dt**2)
+    c1 = gamma / (beta * dt)
+    lhs = c0 * model.mass + c1 * model.damping
+    corrections = np.zeros(n_steps, dtype=np.int64)
+    residuals = np.zeros(n_steps)
+    for k in range(n_steps):
+        p_new = model.load(time[k + 1])
+        q_pred = q[k] + dt * v[k] + dt**2 * (0.5 - beta) * a[k]
+        v_pred = v[k] + dt * (1.0 - gamma) * a[k]
+        q_new = q_pred + dt**2 * beta * a[k]
+        converged = False
+        for it in range(newton_max_iterations):
+            a_new = c0 * (q_new - q_pred)
+            v_new = v_pred + gamma * dt * a_new
+            f_int = model.force(q_new)
+            inertia = model.mass @ a_new
+            damping = model.damping @ v_new
+            r = inertia + damping + f_int - p_new
+            ref = max(
+                np.linalg.norm(p_new),
+                np.linalg.norm(f_int),
+                np.linalg.norm(inertia),
+                np.linalg.norm(damping),
+            )
+            r_norm = np.linalg.norm(r)
+            if r_norm <= newton_tol_abs + newton_tol_rel * max(ref, 1e-30):
+                converged = True
+                break
+            q_new = q_new - np.linalg.solve(lhs + model.tangent(q_new), r)
+            if not np.all(np.isfinite(q_new)):
+                break
+        assert converged
+        corrections[k] = it
+        residuals[k] = r_norm
+        q[k + 1] = q_new
+        v[k + 1] = v_pred + gamma * dt * c0 * (q_new - q_pred)
+        a[k + 1] = c0 * (q_new - q_pred)
+    return TimeHistory(
+        time=time, displacement=q, velocity=v, acceleration=a,
+        meta={"newton_corrections": corrections, "residual_norm": residuals},
+    )
+
+
+def _assert_same_history(hist, ref):
+    for name in ("time", "displacement", "velocity", "acceleration"):
+        np.testing.assert_array_equal(getattr(hist, name), getattr(ref, name), err_msg=name)
+    assert hist.meta.keys() == ref.meta.keys()
+    for key in ref.meta:
+        np.testing.assert_array_equal(hist.meta[key], ref.meta[key], err_msg=key)
+    assert np.any(ref.meta["newton_corrections"] >= 2)  # the Newton loop iterated
+
+
+def test_driver_matches_reference_on_nonlinear_rom(beam_rom):
+    asm, ops = beam_rom
+    pulse = PulseLoad(pattern=uniform_transverse_pattern(asm), amplitude=4e3, t_pulse=0.02)
+    dt = (2 * np.pi / ops.omegas[0]) / 100
+    hist = newmark_integrate(rom_model(ops, pulse.at), t_span=0.05, dt=dt, kind="rom")
+    dense = ImplicitModel(
+        mass=np.eye(ops.m),
+        damping=np.diag(assemble_damping(ops)),
+        force=lambda eta: _unfused_force(ops, eta),
+        tangent=lambda eta: _unfused_tangent(ops, eta),
+        load=lambda t: ops.basis.T @ pulse.at(t),
+    )
+    _assert_same_history(hist, _newmark_reference(dense, 0.05, dt))
+
+
+def test_driver_matches_reference_on_dense_full_model():
+    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 8)
+    mass, stiffness = asm.mass_matrix(), asm.linear_stiffness()
+    w2 = sla.eigh(stiffness, mass, eigvals_only=True, subset_by_index=[0, 1])
+    alpha, beta = rayleigh_params(np.sqrt(w2[0]), np.sqrt(w2[1]), 0.01)
+    pulse = PulseLoad(pattern=uniform_transverse_pattern(asm), amplitude=4e3, t_pulse=0.02)
+    model = ImplicitModel(
+        mass=mass,
+        damping=alpha * mass + beta * stiffness,
+        force=asm.internal_force,
+        tangent=asm.tangent_stiffness,
+        load=pulse.at,
+    )
+    dt = (2 * np.pi / np.sqrt(w2[0])) / 100
+    hist = newmark_integrate(model, t_span=0.02, dt=dt, kind="hfm")
+    _assert_same_history(hist, _newmark_reference(model, 0.02, dt))
 
 
 # ----------------------------------------------------------------------
