@@ -1,6 +1,6 @@
-"""SHA-256 of the containers one benchmark pass writes, per seed.
+"""SHA-256 of the containers one benchmark pass writes, per workload and seed.
 
-For each workload seed this runs perfbench's `offline_pass` on that
+For each workload and seed this runs perfbench's `offline_pass` on that
 workload's config (`make_config` with the workload's overrides): build the
 training and validation databases, save both, load both, `fit_prom`, save
 the PROM.  For online-desk it then runs `pipeline.run_benchmark` on the
@@ -10,8 +10,8 @@ prints one line per container, so the output of two commits can be
 compared with `diff` to check that a change leaves every artifact, and so
 every model's history, byte-identical.
 
-    PYTHONPATH=src python scripts/artifact_digests.py --workload offline-dual-ed --seeds 0 1 2
-    PYTHONPATH=src python scripts/artifact_digests.py --workload online-desk --seeds 0 1 2
+    PYTHONPATH=src python scripts/artifact_digests.py \
+        --workload offline-desk offline-dual-ed online-desk --seeds 0 1 2
 
 The containers are written to a temporary directory (`TMPDIR` applies).
 """
@@ -35,23 +35,24 @@ from promforge import database, pipeline  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=list(WORKLOADS), required=True)
+    parser.add_argument("--workload", choices=list(WORKLOADS), nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
     raw = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
-    spec = WORKLOADS[args.workload]
 
-    for seed in args.seeds:
-        cfg = make_config(raw, spec["overrides"], seed)
-        with tempfile.TemporaryDirectory(prefix="promforge-digests-") as tmp:
-            done = offline_pass(cfg, Path(tmp), speed.Meter())
-            digests = dict(done.digests)
-            if spec["online"]:
-                bench_path = Path(tmp) / "bench.promdb"
-                database.save_report(pipeline.run_benchmark(done.db, cfg), bench_path)
-                digests[bench_path.name] = hashlib.sha256(bench_path.read_bytes()).hexdigest()
-        for name, digest in digests.items():
-            print(f"{args.workload} {seed} {name} {digest}", flush=True)
+    for workload in args.workload:
+        spec = WORKLOADS[workload]
+        for seed in args.seeds:
+            cfg = make_config(raw, spec["overrides"], seed)
+            with tempfile.TemporaryDirectory(prefix="promforge-digests-") as tmp:
+                done = offline_pass(cfg, Path(tmp), speed.Meter())
+                digests = dict(done.digests)
+                if spec["online"]:
+                    bench_path = Path(tmp) / "bench.promdb"
+                    database.save_report(pipeline.run_benchmark(done.db, cfg), bench_path)
+                    digests[bench_path.name] = hashlib.sha256(bench_path.read_bytes()).hexdigest()
+            for name, digest in digests.items():
+                print(f"{workload} {seed} {name} {digest}", flush=True)
     return 0
 
 

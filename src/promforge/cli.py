@@ -13,7 +13,6 @@ All knobs live in the YAML config; flags only override scalar settings
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .pipeline import (
     export_histories,
     fit_prom,
     run_benchmark,
+    write_timings,
 )
 
 
@@ -83,10 +83,7 @@ def cmd_bench(args) -> int:
     db = load_database(out / "prom.promdb")
     report = run_benchmark(db, cfg)
     save_report(report, out / "bench.promdb")
-    (out / "timings.json").write_text(
-        json.dumps({"seconds": report.timings}, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_timings(report, out)
     for i in range(report.n_points):
         errs = ", ".join(f"{k}={v:.3%}" for k, v in sorted(report.errors[i].items()))
         fails = "; ".join(f"{k}: {v}" for k, v in report.failures[i].items())
@@ -114,8 +111,8 @@ def cmd_inspect(args) -> int:
         print(f"  role: {db.role}")
         print(f"  samples: {db.n_samples}, full order n={db.n}, reduced order m={db.m}")
         print(
-            f"  global basis: {db.global_info['m_modes']} mode vectors + "
-            f"{db.global_info['m_companions']} companion vectors"
+            f"  global basis: {db.global_basis.m_modes} mode vectors + "
+            f"{db.global_basis.m_companions} companion vectors"
         )
         print(f"  tensor identification: {db.roms[0].tensors.method}")
         print(f"  evaluations per sample: {db.counters['identification_evaluations']}")

@@ -116,7 +116,6 @@ class RunConfig:
         return ParamBounds(
             lower=[self.bounds_p1[0], self.bounds_p2[0]],
             upper=[self.bounds_p1[1], self.bounds_p2[1]],
-            units=("thickness multiples", "-"),
         )
 
     def eps_grid(self) -> np.ndarray:

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import getitem
 
 import numpy as np
 
 from .errors import CorruptFileError, FormatVersionError
+from .global_basis import GlobalBasis
 from .rbf import OPERATOR_NAMES, PromModel, RbfInterpolant, RbfKernel, ValidationReport
 from .rom import RomOperators
 from .tensor_id import IdentifiedTensors
@@ -36,7 +40,9 @@ __all__ = [
 _MAGIC = b"PROMFRG1"
 _FORMAT_VERSION = 1
 
+_MANIFEST_KEYS = ("format_version", "kind", "payload_sha256", "arrays", "meta")
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
+_STORED_AS = {"f": "float64", "i": "int64", "u": "int64"}  # numpy dtype kind -> stored dtype
 
 
 def write_container(path, kind: str, meta: dict, arrays: dict) -> None:
@@ -45,14 +51,10 @@ def write_container(path, kind: str, meta: dict, arrays: dict) -> None:
     payload = bytearray()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype.kind == "f":
-            arr = arr.astype("<f8", copy=False)
-            dtype = "float64"
-        elif arr.dtype.kind in "iu":
-            arr = arr.astype("<i8", copy=False)
-            dtype = "int64"
-        else:
+        dtype = _STORED_AS.get(arr.dtype.kind)
+        if dtype is None:
             raise ValueError(f"unsupported array dtype for {name!r}: {arr.dtype}")
+        arr = arr.astype(_DTYPES[dtype], copy=False)
         raw = arr.tobytes()
         table.append(
             {
@@ -81,7 +83,7 @@ def write_container(path, kind: str, meta: dict, arrays: dict) -> None:
 
 
 def read_container(path):
-    """Read and verify a container; returns (kind, meta, arrays)."""
+    """Read and verify a container; returns (kind, meta, arrays) or raises CorruptFileError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(_MAGIC) + 8 or data[: len(_MAGIC)] != _MAGIC:
@@ -90,26 +92,149 @@ def read_container(path):
     start = len(_MAGIC) + 8
     if start + n > len(data):
         raise CorruptFileError(f"{path}: truncated manifest")
+    payload = data[start + n :]
+    arrays = {}
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors
     try:
         manifest = json.loads(data[start : start + n].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFileError(f"{path}: unreadable manifest: {exc}") from exc
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: format version {manifest.get('format_version')} "
-            f"not supported (expected {_FORMAT_VERSION})"
-        )
-    payload = data[start + n :]
-    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
-        raise CorruptFileError(f"{path}: payload checksum mismatch")
-    arrays = {}
-    for entry in manifest["arrays"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(payload):
-            raise CorruptFileError(f"{path}: truncated payload for {entry['name']!r}")
-        arr = np.frombuffer(payload[lo:hi], dtype=_DTYPES[entry["dtype"]])
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return manifest["kind"], manifest["meta"], arrays
+        version, kind, digest, table, meta = (manifest[key] for key in _MANIFEST_KEYS)
+        if version != _FORMAT_VERSION:
+            raise FormatVersionError(
+                f"{path}: format version {version} not supported (expected {_FORMAT_VERSION})"
+            )
+        if hashlib.sha256(payload).hexdigest() != digest:
+            raise CorruptFileError(f"{path}: payload checksum mismatch")
+        for entry in table:
+            lo, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
+            if lo < 0 or nbytes != 8 * math.prod(shape) or lo + nbytes > len(payload):
+                raise ValueError(f"array {entry['name']!r} does not fit the payload")
+            arr = np.frombuffer(payload[lo : lo + nbytes], dtype=_DTYPES[entry["dtype"]])
+            arrays[entry["name"]] = arr.reshape(shape).copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(f"{path}: malformed container: {exc!r}") from exc
+    return kind, meta, arrays
+
+
+# ----------------------------------------------------------------------
+# field tables
+# ----------------------------------------------------------------------
+# Each table maps a container key to (field, cast).  Saving stores
+# cast(field value) under the key and loading passes cast(stored value)
+# back as the field, so one table describes both directions.  ndarray
+# values go to the arrays and all others to the meta, where a dotted key
+# is a path into nested meta.  "{}" in a key is filled per family member.
+_DATABASE = {
+    "points": ("points", np.asarray),
+    "role": ("role", str),
+    "config": ("config", dict),
+    "counters": ("counters", dict),
+    "tensor_method": ("method", str),  # shared by every sample
+    # optional sections: saved as whether they are set
+    "has_prom": ("prom", bool),
+    "has_validation": ("validation", bool),
+}
+_GLOBAL_BASIS = {
+    "global_vectors": ("vectors", np.asarray),
+    "energy_modes": ("energy_modes", np.asarray),
+    "energy_companions": ("energy_companions", np.asarray),
+    "sv_modes": ("singular_values_modes", np.asarray),
+    "sv_companions": ("singular_values_companions", np.asarray),
+    "m_modes": ("m_modes", int),
+    "m_companions": ("m_companions", int),
+}
+_LINEAGE = {
+    "references": ("references", partial(np.asarray, dtype=np.int64)),
+    "permutations": ("permutations", partial(np.asarray, dtype=np.int64)),
+    "signs": ("signs", partial(np.asarray, dtype=float)),
+    "macs": ("macs", partial(np.asarray, dtype=float)),
+    "start_index": ("start_index", int),
+}
+# one row per sample, stacked into one array per key
+_ROM_ROWS = {
+    "bases": ("basis", np.asarray),
+    "k1_diags": ("k1_diag", np.asarray),
+    "alphas": ("alpha", float),
+    "betas": ("beta", float),
+}
+_TENSOR_ROWS = {
+    "k2s": ("k2_unique", np.asarray),
+    "k3s": ("k3_unique", np.asarray),
+    "scales": ("scales", np.asarray),
+    "asymmetries": ("asymmetry", float),
+    "eval_counts": ("eval_count", int),
+}
+_PROM = {
+    "prom_centers": ("centers", np.asarray),
+    "prom.kernel_kind": ("kind", str),
+    "prom.n": ("n", int),
+    "prom.m": ("m", int),
+}
+_PROM_OPERATOR = {  # per operator name
+    "prom_w_{}": ("weights", np.asarray),
+    "prom_o_{}": ("offset", np.asarray),
+    "prom.eps.{}": ("eps", float),
+    "prom.condition.{}": ("condition", float),
+}
+_VALIDATION = {
+    "val_eps_grid": ("eps_grid", np.asarray),
+    "validation.selected": ("selected", dict),
+    "validation.kernel_kind": ("kernel_kind", str),
+    "validation.metric": ("metric", str),
+}
+_VALIDATION_OPERATOR = {"val_curve_{}": ("curve", np.asarray)}  # per operator name
+_REPORT = {
+    "test_points": ("test_points", np.asarray),
+    "physical_points": ("physical_points", np.asarray),
+    "monitors": ("monitors", list),
+    "errors": ("errors", list),
+    "periods": ("periods", list),
+    "failures": ("failures", list),
+    "closest_indices": ("closest_indices", lambda ks: [int(k) for k in ks]),
+    "eps_table": ("eps_table", dict),
+    "eval_counts": ("eval_counts", dict),
+    "n_points": ("n_points", int),
+    "model_kinds": ("model_kinds", list),
+}
+_HISTORY = {  # per test point and model kind; a failed model has none
+    "tp{:03d}_{}_time": ("time", np.asarray),
+    "tp{:03d}_{}_traces": ("traces", np.asarray),
+}
+
+
+def _encode(table: dict, values, arrays: dict, meta: dict, *names) -> None:
+    """Store each field of `values` (a mapping) under its table key."""
+    for key, (attr, cast) in table.items():
+        value = cast(values[attr])
+        *path, leaf = key.format(*names).split(".")
+        node = arrays if isinstance(value, np.ndarray) else meta
+        for part in path:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+
+
+def _decode(table: dict, entries: dict, *names) -> dict:
+    """The fields that `_encode` stored, keyed by field name."""
+    return {
+        attr: cast(reduce(getitem, key.format(*names).split("."), entries))
+        for key, (attr, cast) in table.items()
+    }
+
+
+def _encode_rows(table: dict, rows: list, arrays: dict) -> None:
+    """Stack each field over `rows` into one array; `_decode_database` reads row i back."""
+    for key, (attr, cast) in table.items():
+        arrays[key] = np.stack([cast(row[attr]) for row in rows])
+
+
+def _load(path, kind: str, decode):
+    """Rebuild a `kind` container's object; any malformed field is a CorruptFileError."""
+    found, meta, arrays = read_container(path)
+    if found != kind:
+        raise CorruptFileError(f"{path}: expected a {kind} container, got {found!r}")
+    try:
+        return decode({**meta, **arrays})
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptFileError(f"{path}: malformed {kind} container: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +248,7 @@ class RomDatabase:
     config: dict
     points: np.ndarray  # (n_samples, n_params) normalized
     roms: list  # RomOperators per sample, aligned with points
-    global_vectors: np.ndarray  # (n, m) global basis before mass orthogonalization
-    global_info: dict  # POD bookkeeping: counts, energy curves, singular values
+    global_basis: GlobalBasis  # POD basis before mass orthogonalization
     lineage: dict  # reordering provenance per sample
     counters: dict  # per-stage black-box evaluation counts
     prom: PromModel | None = None
@@ -144,153 +268,57 @@ class RomDatabase:
 
 
 def save_database(db: RomDatabase, path) -> None:
-    arrays = {
-        "points": db.points,
-        "global_vectors": db.global_vectors,
-        "energy_modes": db.global_info["energy_modes"],
-        "energy_companions": db.global_info["energy_companions"],
-        "sv_modes": db.global_info["sv_modes"],
-        "sv_companions": db.global_info["sv_companions"],
-        "bases": np.stack([r.basis for r in db.roms]),
-        "k1_diags": np.stack([r.k1_diag for r in db.roms]),
-        "k2s": np.stack([r.tensors.k2_unique for r in db.roms]),
-        "k3s": np.stack([r.tensors.k3_unique for r in db.roms]),
-        "alphas": np.array([r.alpha for r in db.roms]),
-        "betas": np.array([r.beta for r in db.roms]),
-        "scales": np.stack(
-            [
-                r.tensors.scales if r.tensors.scales is not None else np.zeros(r.m)
-                for r in db.roms
-            ]
-        ),
-        "asymmetries": np.array([r.tensors.asymmetry for r in db.roms]),
-        "eval_counts": np.array([r.tensors.eval_count for r in db.roms], dtype=np.int64),
-        "references": np.asarray(db.lineage["references"], dtype=np.int64),
-        "permutations": np.asarray(db.lineage["permutations"], dtype=np.int64),
-        "signs": np.asarray(db.lineage["signs"], dtype=float),
-        "macs": np.asarray(db.lineage["macs"], dtype=float),
-    }
-    meta = {
-        "role": db.role,
-        "config": db.config,
-        "counters": db.counters,
-        "tensor_method": db.roms[0].tensors.method,
-        "m_modes": int(db.global_info["m_modes"]),
-        "m_companions": int(db.global_info["m_companions"]),
-        "start_index": int(db.lineage["start_index"]),
-        "has_prom": db.prom is not None,
-        "has_validation": db.validation is not None,
-    }
+    arrays, meta = {}, {}
+    _encode(_DATABASE, {**vars(db), "method": db.roms[0].tensors.method}, arrays, meta)
+    _encode(_GLOBAL_BASIS, vars(db.global_basis), arrays, meta)
+    _encode(_LINEAGE, db.lineage, arrays, meta)
+    _encode_rows(_ROM_ROWS, [vars(r) for r in db.roms], arrays)
+    _encode_rows(_TENSOR_ROWS, [vars(r.tensors) for r in db.roms], arrays)
     if db.prom is not None:
-        arrays["prom_centers"] = db.prom.centers
+        _encode(_PROM, {**vars(db.prom), **vars(db.prom.interpolants["k1"].kernel)}, arrays, meta)
         for name in OPERATOR_NAMES:
-            arrays[f"prom_w_{name}"] = db.prom.interpolants[name].weights
-            arrays[f"prom_o_{name}"] = db.prom.interpolants[name].offset
-        meta["prom"] = {
-            "kernel_kind": db.prom.interpolants["k1"].kernel.kind,
-            "eps": {n: db.prom.interpolants[n].kernel.eps for n in OPERATOR_NAMES},
-            "condition": {
-                n: db.prom.interpolants[n].condition for n in OPERATOR_NAMES
-            },
-            "n": db.prom.n,
-            "m": db.prom.m,
-        }
+            interp = db.prom.interpolants[name]
+            _encode(_PROM_OPERATOR, {**vars(interp), **vars(interp.kernel)}, arrays, meta, name)
     if db.validation is not None:
-        arrays["val_eps_grid"] = db.validation.eps_grid
+        _encode(_VALIDATION, vars(db.validation), arrays, meta)
         for name in OPERATOR_NAMES:
-            arrays[f"val_curve_{name}"] = db.validation.curves[name]
-        meta["validation"] = {
-            "selected": db.validation.selected,
-            "kernel_kind": db.validation.kernel_kind,
-            "metric": db.validation.metric,
-        }
+            _encode(_VALIDATION_OPERATOR, {"curve": db.validation.curves[name]}, arrays, meta, name)
     write_container(path, "rom_database", meta, arrays)
 
 
-def load_database(path) -> RomDatabase:
-    kind, meta, arrays = read_container(path)
-    if kind != "rom_database":
-        raise CorruptFileError(f"{path}: expected a rom_database container, got {kind!r}")
-    n_samples = arrays["points"].shape[0]
+def _decode_database(entries: dict) -> RomDatabase:
+    fields = _decode(_DATABASE, entries)
+    has_prom, has_validation = fields.pop("prom"), fields.pop("validation")
+    method = fields.pop("method")
     roms = []
-    for i in range(n_samples):
-        m = arrays["k1_diags"].shape[1]
-        tensors = IdentifiedTensors(
-            m=m,
-            k2_unique=arrays["k2s"][i],
-            k3_unique=arrays["k3s"][i],
-            method=meta["tensor_method"],
-            scales=arrays["scales"][i],
-            asymmetry=float(arrays["asymmetries"][i]),
-            eval_count=int(arrays["eval_counts"][i]),
-        )
-        roms.append(
-            RomOperators(
-                basis=arrays["bases"][i],
-                k1_diag=arrays["k1_diags"][i],
-                tensors=tensors,
-                alpha=float(arrays["alphas"][i]),
-                beta=float(arrays["betas"][i]),
-                p_hat=arrays["points"][i],
-            )
-        )
-    global_info = {
-        "m_modes": meta["m_modes"],
-        "m_companions": meta["m_companions"],
-        "energy_modes": arrays["energy_modes"],
-        "energy_companions": arrays["energy_companions"],
-        "sv_modes": arrays["sv_modes"],
-        "sv_companions": arrays["sv_companions"],
-    }
-    lineage = {
-        "references": arrays["references"],
-        "permutations": arrays["permutations"],
-        "signs": arrays["signs"],
-        "macs": arrays["macs"],
-        "start_index": meta["start_index"],
-    }
-    prom = None
-    if meta.get("has_prom"):
-        info = meta["prom"]
-        interpolants = {
-            name: RbfInterpolant(
-                centers=arrays["prom_centers"],
-                weights=arrays[f"prom_w_{name}"],
-                kernel=RbfKernel(info["kernel_kind"], info["eps"][name]),
-                offset=arrays[f"prom_o_{name}"],
-                name=name,
-                condition=info["condition"][name],
-            )
-            for name in OPERATOR_NAMES
-        }
-        prom = PromModel(
-            centers=arrays["prom_centers"],
-            interpolants=interpolants,
-            n=info["n"],
-            m=info["m"],
-        )
-    validation = None
-    if meta.get("has_validation"):
-        info = meta["validation"]
-        validation = ValidationReport(
-            eps_grid=arrays["val_eps_grid"],
-            curves={name: arrays[f"val_curve_{name}"] for name in OPERATOR_NAMES},
-            selected=info["selected"],
-            kernel_kind=info["kernel_kind"],
-            metric=info["metric"],
-        )
-    return RomDatabase(
-        role=meta["role"],
-        config=meta["config"],
-        points=arrays["points"],
+    for i, p_hat in enumerate(fields["points"]):
+        rom = {attr: cast(entries[key][i]) for key, (attr, cast) in _ROM_ROWS.items()}
+        ident = {attr: cast(entries[key][i]) for key, (attr, cast) in _TENSOR_ROWS.items()}
+        tensors = IdentifiedTensors(len(rom["k1_diag"]), method=method, **ident)
+        roms.append(RomOperators(tensors=tensors, p_hat=p_hat, **rom))
+    db = RomDatabase(
         roms=roms,
-        global_vectors=arrays["global_vectors"],
-        global_info=global_info,
-        lineage=lineage,
-        counters=meta["counters"],
-        prom=prom,
-        validation=validation,
+        global_basis=GlobalBasis(**_decode(_GLOBAL_BASIS, entries)),
+        lineage=_decode(_LINEAGE, entries),
+        **fields,
     )
+    if has_prom:
+        prom = _decode(_PROM, entries)
+        kernel_kind = prom.pop("kind")
+        interpolants = {}
+        for name in OPERATOR_NAMES:
+            op = _decode(_PROM_OPERATOR, entries, name)
+            kernel = RbfKernel(kernel_kind, op.pop("eps"))
+            interpolants[name] = RbfInterpolant(prom["centers"], kernel=kernel, name=name, **op)
+        db.prom = PromModel(interpolants=interpolants, **prom)
+    if has_validation:
+        curves = {n: _decode(_VALIDATION_OPERATOR, entries, n)["curve"] for n in OPERATOR_NAMES}
+        db.validation = ValidationReport(curves=curves, **_decode(_VALIDATION, entries))
+    return db
+
+
+def load_database(path) -> RomDatabase:
+    return _load(path, "rom_database", _decode_database)
 
 
 # ----------------------------------------------------------------------
@@ -322,52 +350,23 @@ class BenchmarkReport:
 
 def save_report(report: BenchmarkReport, path) -> None:
     """Persist everything except wall-clock timings (kept in a sidecar)."""
-    arrays = {
-        "test_points": report.test_points,
-        "physical_points": report.physical_points,
-    }
+    arrays, meta = {}, {}
+    values = {**vars(report), "n_points": report.n_points, "model_kinds": MODEL_KINDS}
+    _encode(_REPORT, values, arrays, meta)
     for i, per_point in enumerate(report.histories):
         for kind, hist in per_point.items():
-            arrays[f"tp{i:03d}_{kind}_time"] = hist["time"]
-            arrays[f"tp{i:03d}_{kind}_traces"] = hist["traces"]
-    meta = {
-        "monitors": list(report.monitors),
-        "errors": report.errors,
-        "periods": report.periods,
-        "failures": report.failures,
-        "closest_indices": [int(k) for k in report.closest_indices],
-        "eps_table": report.eps_table,
-        "eval_counts": report.eval_counts,
-        "n_points": int(report.n_points),
-        "model_kinds": list(MODEL_KINDS),
-    }
+            _encode(_HISTORY, hist, arrays, meta, i, kind)
     write_container(path, "benchmark_report", meta, arrays)
 
 
+def _decode_report(entries: dict) -> BenchmarkReport:
+    fields = _decode(_REPORT, entries)
+    kinds, histories = fields.pop("model_kinds"), []
+    for i in range(fields.pop("n_points")):
+        present = [k for k in kinds if any(key.format(i, k) in entries for key in _HISTORY)]
+        histories.append({k: _decode(_HISTORY, entries, i, k) for k in present})
+    return BenchmarkReport(histories=histories, **fields)
+
+
 def load_report(path) -> BenchmarkReport:
-    kind, meta, arrays = read_container(path)
-    if kind != "benchmark_report":
-        raise CorruptFileError(f"{path}: expected a benchmark_report container, got {kind!r}")
-    histories = []
-    for i in range(meta["n_points"]):
-        per_point = {}
-        for model_kind in meta["model_kinds"]:
-            key = f"tp{i:03d}_{model_kind}_time"
-            if key in arrays:
-                per_point[model_kind] = {
-                    "time": arrays[key],
-                    "traces": arrays[f"tp{i:03d}_{model_kind}_traces"],
-                }
-        histories.append(per_point)
-    return BenchmarkReport(
-        test_points=arrays["test_points"],
-        physical_points=arrays["physical_points"],
-        monitors=meta["monitors"],
-        histories=histories,
-        errors=meta["errors"],
-        periods=meta["periods"],
-        failures=meta["failures"],
-        closest_indices=meta["closest_indices"],
-        eps_table=meta["eps_table"],
-        eval_counts=meta["eval_counts"],
-    )
+    return _load(path, "benchmark_report", _decode_report)

@@ -67,7 +67,6 @@ class CompanionSet:
 
     vectors: np.ndarray  # (n, n_companions)
     kind: str  # "smd" | "dual"
-    provenance: list  # per column: (i, j) mode pair or POD index
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -224,7 +223,5 @@ def compute_dual_modes(
         )
     snapshots = snapshots[:, keep] / norms[keep]
 
-    vectors, n_keep, _, _ = pod_truncate(snapshots, energy_threshold)
-    return CompanionSet(
-        vectors=fix_signs(vectors), kind="dual", provenance=[("pod", k) for k in range(n_keep)]
-    )
+    vectors, _, _, _ = pod_truncate(snapshots, energy_threshold)
+    return CompanionSet(vectors=fix_signs(vectors), kind="dual")

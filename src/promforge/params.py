@@ -21,7 +21,6 @@ class ParamBounds:
 
     lower: np.ndarray
     upper: np.ndarray
-    units: tuple = ()
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -40,11 +39,9 @@ class ParamBounds:
 
 @dataclass
 class SampleSet:
-    """Ordered set of normalized parameter points with a role tag."""
+    """Ordered set of normalized parameter points."""
 
     points: np.ndarray  # (n_points, n_params), all in [0, 1]
-    role: str = "train"  # train | validation | test
-    seed: int | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -92,7 +89,6 @@ def lhs_sample(
     n_points: int,
     n_dims: int,
     seed: int,
-    role: str = "train",
     n_candidates: int = 50,
 ) -> SampleSet:
     """Maximin Latin Hypercube sample of the unit hypercube.
@@ -116,4 +112,4 @@ def lhs_sample(
         if score > best_score:
             best_score = score
             best = design
-    return SampleSet(points=best, role=role, seed=seed)
+    return SampleSet(points=best)

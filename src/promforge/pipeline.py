@@ -43,6 +43,7 @@ __all__ = [
     "fit_prom",
     "run_benchmark",
     "export_histories",
+    "write_timings",
     "resolve_monitors",
     "dominant_period",
 ]
@@ -64,7 +65,7 @@ def make_assembly(cfg: RunConfig, p_physical) -> CurvedBeamAssembly:
 
 def _draw(cfg: RunConfig, role: str):
     count, seed = cfg.sampling.role(role)
-    return lhs_sample(count, cfg.bounds().n_params, seed, role=role)
+    return lhs_sample(count, cfg.bounds().n_params, seed)
 
 
 def _new_counters() -> dict:
@@ -156,7 +157,7 @@ def _sample_ingredients(cfg: RunConfig, assembly, counters):
                 for i, j in pairs
             ]
         )
-        companions = CompanionSet(vectors=thetas, kind="smd", provenance=pairs)
+        companions = CompanionSet(vectors=thetas, kind="smd")
         counters["smd_tangent_evaluations"] += 2 * len(pairs)
     else:
         companions = compute_dual_modes(
@@ -206,21 +207,12 @@ def build_database(cfg: RunConfig, role: str = "train") -> RomDatabase:
                 sample_rom(cfg, assemblies[i], lb, fe_omega_pairs[i], samples.points[i], counters)
             )
 
-    global_info = {
-        "m_modes": global_rb.m_modes,
-        "m_companions": global_rb.m_companions,
-        "energy_modes": global_rb.energy_modes,
-        "energy_companions": global_rb.energy_companions,
-        "sv_modes": global_rb.singular_values_modes,
-        "sv_companions": global_rb.singular_values_companions,
-    }
     return RomDatabase(
         role=role,
         config=cfg.to_dict(),
         points=samples.points,
         roms=roms,
-        global_vectors=global_rb.vectors,
-        global_info=global_info,
+        global_basis=global_rb,
         lineage=_lineage(ordered, start_index),
         counters=counters,
     )
@@ -251,7 +243,7 @@ def build_companion_database(
             assembly = make_assembly(cfg, p_phys)
             mass = assembly.mass_matrix()
             stiffness = assembly.linear_stiffness()
-            local = mass_orthogonalize(train_db.global_vectors, mass, stiffness)
+            local = mass_orthogonalize(train_db.global_basis.vectors, mass, stiffness)
 
             nearest = int(np.argmin(np.linalg.norm(train_db.points - samples.points[i], axis=1)))
             if nearest not in train_masses:
@@ -271,8 +263,7 @@ def build_companion_database(
         config=cfg.to_dict(),
         points=samples.points,
         roms=roms,
-        global_vectors=train_db.global_vectors,
-        global_info=dict(train_db.global_info),
+        global_basis=train_db.global_basis,
         # companion sets are matched to training samples
         lineage=_lineage(matched_bases, -1),
         counters=counters,
@@ -422,7 +413,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
             return run
 
         def recomputed_runner():
-            local = mass_orthogonalize(db.global_vectors, mass, stiffness)
+            local = mass_orthogonalize(db.global_basis.vectors, mass, stiffness)
             return rom_runner(sample_rom(cfg, assembly, local, fe_modes.omegas, p_hat))()
 
         def surrogate_runner(make_ops):
@@ -536,10 +527,15 @@ def export_histories(report: BenchmarkReport, out_dir) -> list:
     written.append(summary_path)
 
     if report.timings:
-        timings_path = out / "timings.json"
-        timings_path.write_text(
-            json.dumps({"seconds": report.timings}, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        written.append(timings_path)
+        written.append(write_timings(report, out))
     return written
+
+
+def write_timings(report: BenchmarkReport, out_dir) -> Path:
+    """Write the report's wall-clock timings to `out_dir`/timings.json."""
+    path = Path(out_dir) / "timings.json"
+    path.write_text(
+        json.dumps({"seconds": report.timings}, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+    return path

@@ -413,7 +413,7 @@ def _pulse_closed_form(omega, zeta, g, big_omega, t_pulse, t):
 # ----------------------------------------------------------------------
 def test_criterion_9_pod_energy_properties(desk):
     _, db, _, _ = desk
-    for curve in (db.global_info["energy_modes"], db.global_info["energy_companions"]):
+    for curve in (db.global_basis.energy_modes, db.global_basis.energy_companions):
         assert np.all(np.diff(curve) >= -1e-15)
         assert curve[-1] == pytest.approx(1.0, abs=1e-12)
 

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from promforge.cli import main as cli_main
 from promforge.config import config_from_dict
 from promforge.database import (
     BenchmarkReport,
@@ -12,7 +17,7 @@ from promforge.database import (
     write_container,
 )
 from promforge.errors import CorruptFileError, FormatVersionError
-from promforge.pipeline import build_companion_database, build_database, fit_prom
+from promforge.pipeline import build_companion_database, build_database, fit_prom, run_benchmark
 
 
 SMALL = {
@@ -172,3 +177,97 @@ def test_report_round_trip(tmp_path):
     assert back.closest_indices == report.closest_indices
     np.testing.assert_array_equal(back.histories[0]["hfm"]["traces"], hist["hfm"]["traces"])
     assert back.timings == []  # wall clock never persists
+
+
+# ----------------------------------------------------------------------
+# malformed and damaged containers
+# ----------------------------------------------------------------------
+def _rewrite_manifest(path, edit):
+    """Replace the manifest by edit(manifest), keeping the length field consistent."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    raw = json.dumps(edit(json.loads(blob[16 : 16 + n]))).encode("utf-8")
+    path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
+
+
+def _edit_first_entry(**changes):
+    def edit(manifest):
+        manifest["arrays"][0].update(changes)
+        return manifest
+
+    return edit
+
+
+def _drop_k1_diags(path):
+    kind, meta, arrays = read_container(path)
+    del arrays["k1_diags"]
+    write_container(path, kind, meta, arrays)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda p: _rewrite_manifest(p, _edit_first_entry(shape=[1])), id="shape"),
+        pytest.param(lambda p: _rewrite_manifest(p, _edit_first_entry(dtype="float32")), id="dtype"),
+        pytest.param(lambda p: _rewrite_manifest(p, _edit_first_entry(offset=-8)), id="offset"),
+        pytest.param(
+            lambda p: _rewrite_manifest(p, lambda m: {k: v for k, v in m.items() if k != "meta"}),
+            id="missing-key",
+        ),
+        pytest.param(lambda p: _rewrite_manifest(p, lambda m: [m]), id="list-manifest"),
+        pytest.param(_drop_k1_diags, id="missing-array"),
+    ],
+)
+def test_malformed_container_raises_corrupt(tmp_path, small_db, damage):
+    path = tmp_path / "prom.promdb"
+    save_database(small_db[0], path)
+    damage(path)
+    with pytest.raises(CorruptFileError):
+        load_database(path)
+
+
+def test_cli_inspect_reports_malformed_container(tmp_path, small_db, capsys):
+    path = tmp_path / "prom.promdb"
+    save_database(small_db[0], path)
+    _rewrite_manifest(path, _edit_first_entry(dtype="float32"))
+    assert cli_main(["inspect", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def saved_containers(small_db, tmp_path_factory):
+    db, cfg = small_db
+    out = tmp_path_factory.mktemp("saved")
+    save_database(db, out / "prom.promdb")
+    save_report(run_benchmark(db, cfg), out / "bench.promdb")
+    loaders = {"prom.promdb": load_database, "bench.promdb": load_report}
+    return out / "damaged.promdb", {
+        name: ((out / name).read_bytes(), load) for name, load in loaders.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["prom.promdb", "bench.promdb"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_container_loads_or_raises_corrupt(saved_containers, name, data):
+    """A flipped byte or a truncation either loads or raises a container error.
+
+    Under format version 1 the checksum covers only the payload, so a flip
+    in a meta value can still load.
+    """
+    path, saved = saved_containers
+    blob, load = saved[name]
+    manifest_end = 16 + int.from_bytes(blob[8:16], "little")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # favour the manifest: every payload flip fails the checksum
+        where = st.integers(0, manifest_end - 1) | st.integers(0, len(blob) - 1)
+        position = data.draw(where, label="position")
+        damaged = bytearray(blob)
+        damaged[position] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(damaged))
+    try:
+        load(path)
+    except (CorruptFileError, FormatVersionError):
+        pass

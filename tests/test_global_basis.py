@@ -29,7 +29,7 @@ def sample_basis_sets(assemblies, n_modes=3, k_pairs=2):
             [compute_smd(asm, ms.shapes[:, i], ms.shapes[:, j]) for i, j in pairs]
         )
         mode_sets.append(ms)
-        comp_sets.append(CompanionSet(vectors=thetas, kind="smd", provenance=pairs))
+        comp_sets.append(CompanionSet(vectors=thetas, kind="smd"))
     return mode_sets, comp_sets
 
 
@@ -59,7 +59,7 @@ def test_assemble_snapshot_many_samples_column_count():
         for _ in range(14)
     ]
     comp_sets = [
-        CompanionSet(vectors=rng.standard_normal((n, 2)), kind="smd", provenance=[(0, 0), (0, 1)])
+        CompanionSet(vectors=rng.standard_normal((n, 2)), kind="smd")
         for _ in range(14)
     ]
     snaps = assemble_snapshots(mode_sets, comp_sets)

@@ -261,4 +261,4 @@ def test_dual_modes_scale_triggers_nonlinearity(beam):
 
 def test_companion_set_rejects_zero_column():
     with pytest.raises(ValueError):
-        CompanionSet(vectors=np.zeros((5, 1)), kind="smd", provenance=[(0, 0)])
+        CompanionSet(vectors=np.zeros((5, 1)), kind="smd")
