@@ -8,7 +8,11 @@ fitted PROM, as the online stage does, and saves the report as
 `bench.promdb`: every model's monitored traces and errors, no timings.  It
 prints one line per container, so the output of two commits can be
 compared with `diff` to check that a change leaves every artifact, and so
-every model's history, byte-identical.
+every model's history, byte-identical.  For `bench.promdb` it also prints
+one line per model kind (`bench.hfm`, `bench.interpolated`, ...): the
+digest of that model's stored time and traces at every test point, read
+back from the container.  A change that moves only the reduced models'
+bits then shows that the `hfm` and `linear` histories stayed identical.
 
     PYTHONPATH=src python scripts/artifact_digests.py \
         --workload offline-desk offline-dual-ed online-desk --seeds 0 1 2
@@ -24,6 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -31,6 +36,21 @@ import speed  # noqa: E402
 from workloads import CONFIG, WORKLOADS, make_config, offline_pass  # noqa: E402
 
 from promforge import database, pipeline  # noqa: E402
+
+
+def model_digests(report: database.BenchmarkReport) -> dict:
+    """`bench.<kind>` -> SHA-256 of that model's time and traces per test point."""
+    digests = {}
+    for kind in database.MODEL_KINDS:
+        sha = hashlib.sha256()
+        for i, per_point in enumerate(report.histories):
+            hist = per_point.get(kind)  # a failed model has no history
+            sha.update(f"{i} {kind} {hist is not None}".encode())
+            for array in () if hist is None else (hist["time"], hist["traces"]):
+                sha.update(f"{array.dtype} {array.shape}".encode())
+                sha.update(np.ascontiguousarray(array).tobytes())
+        digests[f"bench.{kind}"] = sha.hexdigest()
+    return digests
 
 
 def main(argv=None) -> int:
@@ -51,6 +71,7 @@ def main(argv=None) -> int:
                     bench_path = Path(tmp) / "bench.promdb"
                     database.save_report(pipeline.run_benchmark(done.db, cfg), bench_path)
                     digests[bench_path.name] = hashlib.sha256(bench_path.read_bytes()).hexdigest()
+                    digests.update(model_digests(database.load_report(bench_path)))
             for name, digest in digests.items():
                 print(f"{workload} {seed} {name} {digest}", flush=True)
     return 0

@@ -3,8 +3,9 @@
 A ROM is the reduction basis plus diagonal reduced mass (identity by
 construction), diagonal linear stiffness, unique-entry quadratic/cubic
 tensors, and the two Rayleigh damping coefficients.  The force and tangent
-contract the dense tensors, expanded on first use; the force keeps K2·eta
-and (K3·eta)·eta, so the tangent at the same eta contracts nothing.
+contract the tensors' pair matrices P2 and P3 (`sym_tensor.pair_matrix`),
+gathered on first use; the force keeps K2·eta and (K3·eta)·eta, so the
+tangent at the same eta contracts nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .newmark import ImplicitModel
-from .sym_tensor import force_cubic, force_quadratic, tangent_cubic, tangent_quadratic
+from .sym_tensor import force_cubic, force_quadratic, pair_matrix, tangent_cubic, tangent_quadratic
 from .tensor_id import IdentifiedTensors
 
 __all__ = [
@@ -76,19 +77,19 @@ class RomOperators:
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """Dense quadratic tensor (m, m, m), expanded on first use."""
-        return self.tensors.k2_full()
+        """Quadratic pair matrix P2, (m(m+1)/2, m), gathered on first use."""
+        return pair_matrix(self.tensors.k2_unique, self.m, 3)
 
     @cached_property
     def k3(self) -> np.ndarray:
-        """Dense cubic tensor (m, m, m, m), expanded on first use."""
-        return self.tensors.k3_full()
+        """Cubic pair matrix P3, (m(m+1)/2, m(m+1)/2), gathered on first use."""
+        return pair_matrix(self.tensors.k3_unique, self.m, 4)
 
 
 def reduced_force(ops: RomOperators, eta) -> np.ndarray:
     """Cubic restoring force in reduced coordinates.
 
-    Contracts K2 once and K3 twice to T2 = K2·eta and T3 = (K3·eta)·eta,
+    Forms T2 = K2·eta and T3 = (K3·eta)·eta from the pair matrices,
     finishes the force with one mat-vec each and keeps both on `ops` for
     :func:`reduced_tangent` at this eta.
     """
@@ -141,7 +142,7 @@ def rom_model(ops: RomOperators, load_fn) -> ImplicitModel:
     `load_fn` maps time to the full-order load vector; it is projected on
     the basis here.  Mass (the identity) and damping are diagonal and
     passed as their diagonals.  The model integrates a private copy of
-    `ops`, so its dense tensors and force cache are freed with the model
+    `ops`, so its pair matrices and force cache are freed with the model
     instead of staying on `ops`.
     """
     ops = replace(ops)

@@ -1,13 +1,13 @@
-"""Unique-entry storage and dense contraction for fully symmetric tensors.
+"""Unique-entry storage and pair-matrix contraction for fully symmetric tensors.
 
 Cubic and quartic stiffness tensors are symmetric in all indices, so
 identification, persistence and interpolation store only the entries with
-sorted indices.  At run time a reduced model expands them once into the
-full tensor (one gather, :func:`full_from_unique`), and the reduced force
-and tangent contract that dense tensor with one 2-D mat-vec per index.  A
-force contracts every index after the first, so it also finishes from the
-tangent: ``force_cubic(tangent_cubic(k3, eta), eta)`` equals
-``force_cubic(k3, eta)`` bit for bit, being the same chain of mat-vecs.
+sorted indices.  At run time a reduced model gathers them once into pair
+matrices over the p = m(m+1)/2 index pairs a <= b (:func:`pair_matrix`):
+P2 (p, m) holds K2[a,b,k], and P3 (p, p) holds K3[a,b,k,l], doubled when
+k < l, so P3 times the pair products eta_k eta_l (k <= l) sums over all
+(k, l).  A tangent is one mat-vec unpacked from p entries to an exactly
+symmetric (m, m) matrix; a force finishes from it with one more mat-vec.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "unique_position",
     "unique_from_full",
     "full_from_unique",
+    "pair_matrix",
     "symmetrize_full",
     "force_quadratic",
     "force_cubic",
@@ -43,16 +44,42 @@ def sorted_multi_indices(m: int, order: int) -> np.ndarray:
     return np.array(list(combinations_with_replacement(range(m), order)), dtype=np.int64)
 
 
+def _positions(m: int, idx: np.ndarray) -> np.ndarray:
+    """Unique-entry position of every index tuple along the first axis of `idx`."""
+    order = idx.shape[0]
+    weights = m ** np.arange(order - 1, -1, -1)
+    codes = np.tensordot(weights, np.sort(idx, axis=0), axes=1)
+    # sorted tuples come in lexicographic order, so their base-m codes ascend
+    position = np.searchsorted(sorted_multi_indices(m, order) @ weights, codes)
+    position.setflags(write=False)
+    return position
+
+
 @lru_cache(maxsize=None)
 def unique_position(m: int, order: int) -> np.ndarray:
     """Unique-entry position of every full-tensor index, shaped (m,) * order."""
-    weights = m ** np.arange(order - 1, -1, -1)
-    codes = weights @ np.sort(np.indices((m,) * order).reshape(order, -1), axis=0)
-    # sorted tuples come in lexicographic order, so their base-m codes ascend
-    position = np.searchsorted(sorted_multi_indices(m, order) @ weights, codes)
-    position = position.reshape((m,) * order)
-    position.setflags(write=False)
-    return position
+    return _positions(m, np.indices((m,) * order))
+
+
+@lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second index of every pair a <= b, in unique-entry order."""
+    pairs = np.triu_indices(m)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _pair_gather(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique-entry positions of a pair matrix and its column weights."""
+    a, b = _pairs(m)
+    if order == 3:  # columns k
+        idx, weight = (a[:, None], b[:, None], np.arange(m)), np.ones(m)
+    else:  # columns (k, l), doubled when k < l
+        idx, weight = (a[:, None], b[:, None], a, b), 1.0 + (a < b)
+    weight.setflags(write=False)
+    return _positions(m, np.stack(np.broadcast_arrays(*idx))), weight
 
 
 def unique_from_full(full: np.ndarray) -> np.ndarray:
@@ -81,32 +108,31 @@ def symmetrize_full(full: np.ndarray) -> tuple[np.ndarray, float]:
     return sym, asym
 
 
-def _contract(tensor: np.ndarray, eta: np.ndarray, times: int) -> np.ndarray:
-    """Contract the trailing `times` indices of `tensor` with eta, one 2-D mat-vec each."""
-    m = tensor.shape[0]
-    out = tensor
-    for _ in range(times):
-        out = out.reshape(-1, m).dot(eta)
-    return out.reshape((m,) * (tensor.ndim - times))
+def pair_matrix(values: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Gather unique entries into the pair matrix P2 (order 3) or P3 (order 4)."""
+    values = np.asarray(values, dtype=float)
+    if values.size != n_unique(m, order):
+        raise ValueError("unique-entry vector has wrong length")
+    position, weight = _pair_gather(m, order)
+    return values[position] * weight
 
 
-def force_quadratic(k2: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """f_a = K2_{ajk} eta_j eta_k from the full (m, m, m) tensor, or
-    T_{ak} eta_k from T = tangent_quadratic(k2, eta)."""
-    return _contract(k2, eta, k2.ndim - 1)
+def force_quadratic(t2: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """f_a = K2_{ajk} eta_j eta_k = T_{ak} eta_k from T = tangent_quadratic(P2, eta)."""
+    return t2 @ eta
 
 
-def force_cubic(k3: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """f_a = K3_{ajkl} eta_j eta_k eta_l from the full (m, m, m, m) tensor, or
-    T_{al} eta_l from T = tangent_cubic(k3, eta)."""
-    return _contract(k3, eta, k3.ndim - 1)
+def force_cubic(t3: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """f_a = K3_{ajkl} eta_j eta_k eta_l = T_{al} eta_l from T = tangent_cubic(P3, eta)."""
+    return t3 @ eta
 
 
-def tangent_quadratic(k2: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """d/d eta of :func:`force_quadratic` divided by 2: K2_{abk} eta_k."""
-    return _contract(k2, eta, 1)
+def tangent_quadratic(p2: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """d/d eta of the quadratic force divided by 2: K2_{abk} eta_k, from P2."""
+    return (p2 @ eta)[unique_position(p2.shape[1], 2)]
 
 
-def tangent_cubic(k3: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """d/d eta of :func:`force_cubic` divided by 3: K3_{abkl} eta_k eta_l."""
-    return _contract(k3, eta, 2)
+def tangent_cubic(p3: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """d/d eta of the cubic force divided by 3: K3_{abkl} eta_k eta_l, from P3."""
+    a, b = _pairs(eta.size)
+    return (p3 @ (eta[a] * eta[b]))[unique_position(eta.size, 2)]

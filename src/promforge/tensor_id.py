@@ -24,7 +24,6 @@ from itertools import combinations
 import numpy as np
 
 from .sym_tensor import (
-    full_from_unique,
     n_unique,
     symmetrize_full,
     unique_from_full,
@@ -61,12 +60,6 @@ class IdentifiedTensors:
             raise ValueError("quadratic tensor has wrong unique-entry count")
         if self.k3_unique.size != n_unique(self.m, 4):
             raise ValueError("cubic tensor has wrong unique-entry count")
-
-    def k2_full(self) -> np.ndarray:
-        return full_from_unique(self.k2_unique, self.m, 3)
-
-    def k3_full(self) -> np.ndarray:
-        return full_from_unique(self.k3_unique, self.m, 4)
 
     @classmethod
     def zeros(cls, m: int, method: str = "zero") -> "IdentifiedTensors":

@@ -4,7 +4,13 @@ import scipy.linalg as sla
 
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.direct_tensors import reduced_tensors_direct
-from promforge.sym_tensor import force_cubic, force_quadratic, full_from_unique
+from promforge.sym_tensor import (
+    force_cubic,
+    force_quadratic,
+    pair_matrix,
+    tangent_cubic,
+    tangent_quadratic,
+)
 
 SPEC = BeamSpec()
 
@@ -28,11 +34,15 @@ def test_projection_matches_black_box_force():
     k2u, k3u, asym = reduced_tensors_direct(asm, V)
     assert asym < 1e-10
     k1r = V.T @ asm.linear_stiffness() @ V
-    k2, k3 = full_from_unique(k2u, 6, 3), full_from_unique(k3u, 6, 4)
+    p2, p3 = pair_matrix(k2u, 6, 3), pair_matrix(k3u, 6, 4)
     rng = np.random.default_rng(0)
     for _ in range(10):
         eta = scaled_coords(asm, V, rng)
-        f_tensor = k1r @ eta + force_quadratic(k2, eta) + force_cubic(k3, eta)
+        f_tensor = (
+            k1r @ eta
+            + force_quadratic(tangent_quadratic(p2, eta), eta)
+            + force_cubic(tangent_cubic(p3, eta), eta)
+        )
         f_black = V.T @ asm.internal_force(V @ eta)
         assert np.linalg.norm(f_tensor - f_black) < 1e-10 * np.linalg.norm(f_black)
 

@@ -22,7 +22,7 @@ from promforge.rom import (
     reduced_tangent,
     rom_model,
 )
-from promforge.sym_tensor import n_unique
+from promforge.sym_tensor import n_unique, unique_position
 from promforge.tensor_id import IdentifiedTensors, identify_eed, plan_scales
 
 
@@ -100,21 +100,24 @@ def test_reduced_tangent_fd_second_order(beam_rom):
     assert np.linalg.norm(fd - ref) / np.linalg.norm(ref) < 1e-6
 
 
-def _chain(tensor, eta, times):
-    """Unfused contraction: the trailing `times` indices, one 2-D `@` each."""
-    m = tensor.shape[0]
-    out = tensor
-    for _ in range(times):
-        out = out.reshape(-1, m) @ eta
-    return out.reshape((m,) * (tensor.ndim - times))
+def _unpacked(pair_matrix, products, m):
+    """Unfused contraction: one 2-D `@` with a pair matrix, unpacked to (m, m)."""
+    return (pair_matrix @ products)[unique_position(m, 2)]
+
+
+def _unfused_tangents(ops, eta):
+    a, b = np.triu_indices(ops.m)
+    return _unpacked(ops.k2, eta, ops.m), _unpacked(ops.k3, eta[a] * eta[b], ops.m)
 
 
 def _unfused_force(ops, eta):
-    return ops.k1_diag * eta + _chain(ops.k2, eta, 2) + _chain(ops.k3, eta, 3)
+    t2, t3 = _unfused_tangents(ops, eta)
+    return ops.k1_diag * eta + t2 @ eta + t3 @ eta
 
 
 def _unfused_tangent(ops, eta):
-    return np.diag(ops.k1_diag) + 2.0 * _chain(ops.k2, eta, 1) + 3.0 * _chain(ops.k3, eta, 2)
+    t2, t3 = _unfused_tangents(ops, eta)
+    return np.diag(ops.k1_diag) + 2.0 * t2 + 3.0 * t3
 
 
 def _random_rom(m, seed):

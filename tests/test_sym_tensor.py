@@ -4,17 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from promforge.rom import RomOperators, reduced_force, reduced_tangent
 from promforge.sym_tensor import (
     force_cubic,
     force_quadratic,
     full_from_unique,
     n_unique,
+    pair_matrix,
     sorted_multi_indices,
     symmetrize_full,
     tangent_cubic,
     tangent_quadratic,
     unique_from_full,
 )
+from promforge.tensor_id import IdentifiedTensors
 
 
 def random_symmetric(m, order, seed):
@@ -61,25 +64,24 @@ def test_symmetrize_reports_perturbation():
 def test_force_quadratic_matches_einsum():
     m = 5
     sym = random_symmetric(m, 3, seed=2)
-    u = unique_from_full(sym)
-    k2 = full_from_unique(u, m, 3)
+    p2 = pair_matrix(unique_from_full(sym), m, 3)
     rng = np.random.default_rng(3)
     for _ in range(5):
         eta = rng.standard_normal(m)
         ref = np.einsum("ajk,j,k->a", sym, eta, eta)
-        np.testing.assert_allclose(force_quadratic(k2, eta), ref, rtol=1e-12)
+        got = force_quadratic(tangent_quadratic(p2, eta), eta)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 def test_force_cubic_matches_einsum():
     m = 4
     sym = random_symmetric(m, 4, seed=4)
-    u = unique_from_full(sym)
-    k3 = full_from_unique(u, m, 4)
+    p3 = pair_matrix(unique_from_full(sym), m, 4)
     rng = np.random.default_rng(5)
     for _ in range(5):
         eta = rng.standard_normal(m)
         ref = np.einsum("ajkl,j,k,l->a", sym, eta, eta, eta)
-        np.testing.assert_allclose(force_cubic(k3, eta), ref, rtol=1e-12)
+        np.testing.assert_allclose(force_cubic(tangent_cubic(p3, eta), eta), ref, rtol=1e-12)
 
 
 def test_tangent_tables_match_einsum():
@@ -87,22 +89,30 @@ def test_tangent_tables_match_einsum():
     s3 = random_symmetric(m, 3, seed=6)
     s4 = random_symmetric(m, 4, seed=7)
     u3, u4 = unique_from_full(s3), unique_from_full(s4)
-    k2, k3 = full_from_unique(u3, m, 3), full_from_unique(u4, m, 4)
+    p2, p3 = pair_matrix(u3, m, 3), pair_matrix(u4, m, 4)
     rng = np.random.default_rng(8)
     eta = rng.standard_normal(m)
     np.testing.assert_allclose(
-        tangent_quadratic(k2, eta), np.einsum("abk,k->ab", s3, eta), rtol=1e-12
+        tangent_quadratic(p2, eta), np.einsum("abk,k->ab", s3, eta), rtol=1e-12
     )
     np.testing.assert_allclose(
-        tangent_cubic(k3, eta), np.einsum("abkl,k,l->ab", s4, eta, eta), rtol=1e-12
+        tangent_cubic(p3, eta), np.einsum("abkl,k,l->ab", s4, eta, eta), rtol=1e-12
     )
 
 
 # ----------------------------------------------------------------------
-# properties of the dense contractions over random sizes and tensors
+# properties of the pair-matrix contractions over random sizes and tensors
 # ----------------------------------------------------------------------
-_FORCE = {3: (force_quadratic, "ajk,j,k->a"), 4: (force_cubic, "ajkl,j,k,l->a")}
-_TANGENT = {3: (tangent_quadratic, "abk,k->ab"), 4: (tangent_cubic, "abkl,k,l->ab")}
+_SPECS = {3: ("ajk,j,k->a", "abk,k->ab"), 4: ("ajkl,j,k,l->a", "abkl,k,l->ab")}
+_KERNELS = {3: (force_quadratic, tangent_quadratic), 4: (force_cubic, tangent_cubic)}
+
+
+def _pair_form(tensor, eta):
+    """Force and tangent of `tensor` at eta, contracted through its pair matrix."""
+    m, order = tensor.shape[0], tensor.ndim
+    force_fn, tangent_fn = _KERNELS[order]
+    tangent = tangent_fn(pair_matrix(unique_from_full(tensor), m, order), eta)
+    return force_fn(tangent, eta), tangent
 
 
 @st.composite
@@ -129,16 +139,15 @@ def _einsum_check(got, spec, tensor, eta):
 @settings(max_examples=60, deadline=None)
 def test_contractions_match_einsum(case):
     tensor, eta = case
-    for fn, spec in (_FORCE[tensor.ndim], _TANGENT[tensor.ndim]):
-        _einsum_check(fn(tensor, eta), spec, tensor, eta)
+    for got, spec in zip(_pair_form(tensor, eta), _SPECS[tensor.ndim]):
+        _einsum_check(got, spec, tensor, eta)
 
 
 @given(tensor_and_eta())
 @settings(max_examples=60, deadline=None)
 def test_tangent_is_symmetric_and_satisfies_euler_identity(case):
     tensor, eta = case
-    force = _FORCE[tensor.ndim][0](tensor, eta)
-    tangent = _TANGENT[tensor.ndim][0](tensor, eta)
+    force, tangent = _pair_form(tensor, eta)
     scale = np.max(np.abs(tensor), initial=0.0) * np.sum(np.abs(eta)) ** (tensor.ndim - 2)
     np.testing.assert_allclose(tangent, tangent.T, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(
@@ -158,3 +167,72 @@ def test_unique_full_round_trip_over_random_sizes(case):
         rtol=0.0,
         atol=1e-15 * np.max(np.abs(tensor)),
     )
+
+
+# ----------------------------------------------------------------------
+# the pair matrices themselves, and the reduced model built on them
+# ----------------------------------------------------------------------
+def _check_pair_form(m, seed, eta):
+    rng = np.random.default_rng(seed)
+    u3, u4 = rng.standard_normal(n_unique(m, 3)), rng.standard_normal(n_unique(m, 4))
+    p2, p3 = pair_matrix(u3, m, 3), pair_matrix(u4, m, 4)
+
+    # every entry is its stored unique value, or exactly twice it when k < l
+    a, b = np.triu_indices(m)
+    stored = {
+        tuple(key): value
+        for order, u in ((3, u3), (4, u4))
+        for key, value in zip(sorted_multi_indices(m, order).tolist(), u)
+    }
+    p = a.size
+    assert p2.shape == (p, m) and p3.shape == (p, p)
+    for row in range(p):
+        for k in range(m):
+            assert p2[row, k] == stored[tuple(sorted((a[row], b[row], k)))]
+        for col in range(p):
+            value = stored[tuple(sorted((a[row], b[row], a[col], b[col])))]
+            assert p3[row, col] == (2.0 * value if a[col] < b[col] else value)
+
+    k2, k3 = full_from_unique(u3, m, 3), full_from_unique(u4, m, 4)
+    forces, bounds = [], []  # einsum force and its absolute-value contraction
+    for tensor, pairs, (force_fn, tangent_fn) in ((k2, p2, _KERNELS[3]), (k3, p3, _KERNELS[4])):
+        force_spec, tangent_spec = _SPECS[tensor.ndim]
+        tangent = tangent_fn(pairs, eta)
+        _einsum_check(tangent, tangent_spec, tensor, eta)
+        _einsum_check(force_fn(tangent, eta), force_spec, tensor, eta)
+        np.testing.assert_array_equal(tangent, tangent.T)
+        etas = tensor.ndim - 1
+        forces.append(np.einsum(force_spec, tensor, *[eta] * etas))
+        bounds.append(np.einsum(force_spec, np.abs(tensor), *[np.abs(eta)] * etas))
+
+    # Euler identity of the homogeneous parts: J(eta)·eta = K1 eta + 2 f2 + 3 f3
+    ops = RomOperators(
+        basis=np.eye(m), k1_diag=rng.uniform(1.0, 10.0, m),
+        tensors=IdentifiedTensors(m=m, k2_unique=u3, k3_unique=u4, method="direct"),
+        alpha=0.0, beta=0.0,
+    )
+    jac = reduced_tangent(ops, eta)
+    np.testing.assert_array_equal(jac, jac.T)
+    linear = ops.k1_diag * eta
+    scale = np.max(np.abs(linear) + 2.0 * bounds[0] + 3.0 * bounds[1])
+    assert np.max(np.abs(jac @ eta - (linear + 2.0 * forces[0] + 3.0 * forces[1]))) <= 1e-12 * scale
+
+    for width in (m - 1, m + 1):
+        for fn in (reduced_force, reduced_tangent):
+            with pytest.raises(ValueError):
+                fn(ops, np.ones(width))
+
+
+@given(
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_matrices_and_kernels(m, seed, data):
+    eta = data.draw(arrays(float, m, elements=st.floats(-10.0, 10.0)))
+    _check_pair_form(m, seed, eta)
+
+
+def test_pair_matrices_and_kernels_at_m24():
+    _check_pair_form(24, 24, np.random.default_rng(1).uniform(-10.0, 10.0, 24))

@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.direct_tensors import reduced_tensors_direct
 from promforge.sym_tensor import (
-    force_cubic,
-    force_quadratic,
     full_from_unique,
     sorted_multi_indices,
     symmetrize_full,
-    tangent_cubic,
-    tangent_quadratic,
     unique_from_full,
 )
 from promforge.tensor_id import (
@@ -41,7 +37,11 @@ def beam_setup():
 
 
 class SyntheticCubicModel:
-    """Polynomial black box with known symmetric tensors (reduced space = full)."""
+    """Polynomial black box with known symmetric tensors (reduced space = full).
+
+    Force and tangent contract the dense tensors with einsum, so a test may
+    break their symmetry on purpose.
+    """
 
     def __init__(self, m, seed):
         rng = np.random.default_rng(seed)
@@ -55,13 +55,17 @@ class SyntheticCubicModel:
         self.m = m
 
     def force(self, q):
-        return self.k1 @ q + force_quadratic(self.k2, q) + force_cubic(self.k3, q)
+        return (
+            self.k1 @ q
+            + np.einsum("ajk,j,k->a", self.k2, q, q)
+            + np.einsum("ajkl,j,k,l->a", self.k3, q, q, q)
+        )
 
     def tangent(self, q):
         return (
             self.k1
-            + 2.0 * tangent_quadratic(self.k2, q)
-            + 3.0 * tangent_cubic(self.k3, q)
+            + 2.0 * np.einsum("abk,k->ab", self.k2, q)
+            + 3.0 * np.einsum("abkl,k,l->ab", self.k3, q, q)
         )
 
 
@@ -350,11 +354,16 @@ def test_identified_tensors_reproduce_black_box_force(beam_setup):
     asm, V, k1r = beam_setup
     s = plan_scales(V, asm, 1.0)
     eed = identify_eed(asm.tangent_stiffness, V, s, k1r)
-    k2, k3 = eed.k2_full(), eed.k3_full()
+    m = V.shape[1]
+    k2, k3 = full_from_unique(eed.k2_unique, m, 3), full_from_unique(eed.k3_unique, m, 4)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        eta = rng.standard_normal(V.shape[1]) * s
-        f_model = k1r @ eta + force_quadratic(k2, eta) + force_cubic(k3, eta)
+        eta = rng.standard_normal(m) * s
+        f_model = (
+            k1r @ eta
+            + np.einsum("ajk,j,k->a", k2, eta, eta)
+            + np.einsum("ajkl,j,k,l->a", k3, eta, eta, eta)
+        )
         f_black = V.T @ asm.internal_force(V @ eta)
         assert np.linalg.norm(f_model - f_black) < 1e-8 * np.linalg.norm(f_black)
 
