@@ -1,8 +1,9 @@
 """Interpolated-error distribution of the desk study over sampling seeds.
 
 For each workload seed s the desk config is run with the sampling seeds
-(2024 + 3s, 2025 + 3s, 2026 + 3s) for training, validation and test, the
-same mapping as perfbench's `sampling_seeds`.  Each seed is built, fitted
+(2024 + 3s, 2025 + 3s, 2026 + 3s) for training, validation and test:
+perfbench's `make_config`, imported with its `ACCURACY_BOUND` from
+`perfbench/workloads.py` so the two cannot drift.  Each seed is built, fitted
 and benchmarked through the public API; the script prints every test
 point's interpolated relative L2 error and the eps selected per operator,
 then one summary line (median, maximum, points above the 5% bound).
@@ -14,33 +15,28 @@ then one summary line (median, maximum, points above the 5% bound).
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from promforge.config import apply_overrides, config_from_dict
-from promforge.pipeline import build_companion_database, build_database, fit_prom, run_benchmark
-from promforge.rbf import OPERATOR_NAMES
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import ACCURACY_BOUND, CONFIG, make_config  # noqa: E402
 
-DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk_study.yaml"
-SHIPPED_SEEDS = (2024, 2025, 2026)  # training, validation, test
-ACCURACY_BOUND = 0.05
-
-
-def seed_config(raw: dict, seed: int):
-    train, validation, test = (base + 3 * seed for base in SHIPPED_SEEDS)
-    return config_from_dict(apply_overrides(raw, [
-        f"sampling.seed_train={train}",
-        f"sampling.seed_validation={validation}",
-        f"sampling.seed_test={test}",
-    ]))
+from promforge.pipeline import (  # noqa: E402
+    build_companion_database,
+    build_database,
+    fit_prom,
+    run_benchmark,
+)
+from promforge.rbf import OPERATOR_NAMES  # noqa: E402
 
 
 def seed_errors(raw: dict, seed: int) -> tuple[list, dict]:
     """Interpolated error per test point (None where the surrogate failed)
     and the selected eps per operator."""
-    cfg = seed_config(raw, seed)
+    cfg = make_config(raw, [], seed)
     train = build_database(cfg, "train")
     db = fit_prom(train, build_companion_database(train, cfg, "validation"), cfg)
     report = run_benchmark(db, cfg)
@@ -50,7 +46,7 @@ def seed_errors(raw: dict, seed: int) -> tuple[list, dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(20)))
-    parser.add_argument("--config", type=Path, default=DESK_CONFIG)
+    parser.add_argument("--config", type=Path, default=CONFIG)
     args = parser.parse_args(argv)
     raw = yaml.safe_load(args.config.read_text(encoding="utf-8"))
 

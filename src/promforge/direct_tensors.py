@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beam_fe import CurvedBeamAssembly
-from .sym_tensor import symmetrize_full, unique_from_full
+from .sym_tensor import symmetrize
 
 __all__ = ["reduced_tensors_direct"]
 
@@ -45,6 +45,6 @@ def reduced_tensors_direct(assembly: CurvedBeamAssembly, basis: np.ndarray):
     k2_full = 0.5 * (abb + bab + bba)
     k3_full = 0.5 * np.einsum("eg,egi,egj,egk,egl->ijkl", w, b_red, b_red, b_red, b_red)
 
-    k2_sym, asym2 = symmetrize_full(k2_full)
-    k3_sym, asym3 = symmetrize_full(k3_full)
-    return unique_from_full(k2_sym), unique_from_full(k3_sym), max(asym2, asym3)
+    k2u, asym2 = symmetrize(k2_full)
+    k3u, asym3 = symmetrize(k3_full)
+    return k2u, k3u, max(asym2, asym3)

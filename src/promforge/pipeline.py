@@ -468,7 +468,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
     return BenchmarkReport(
         test_points=test.points,
         physical_points=physical,
-        monitors=resolve_monitors(make_assembly(cfg, physical[0]), cfg.monitors)[1],
+        monitors=mon_labels,  # the same at every point: labels do not depend on geometry
         histories=histories,
         errors=errors,
         periods=periods,

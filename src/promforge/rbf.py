@@ -347,10 +347,12 @@ def evaluate_prom(
     coefficients and stiffness diagonal rather than interpolated entrywise.
     Positivity of the stiffness diagonal and damping coefficients is
     checked after interpolation; `structure_check` picks error/warn
-    behaviour.  Points outside the unit hypercube only warn (extrapolation);
-    a point of the wrong shape or with a non-finite coordinate raises
-    ValueError.
+    behaviour, and any other value raises ValueError.  Points outside the
+    unit hypercube only warn (extrapolation); a point of the wrong shape or
+    with a non-finite coordinate raises ValueError.
     """
+    if structure_check not in ("error", "warn"):
+        raise ValueError(f"structure_check must be 'error' or 'warn', not {structure_check!r}")
     p_hat = _query_point(model, p_hat)
     if any(x < -1e-12 or x > 1.0 + 1e-12 for x in p_hat.tolist()):
         warnings.warn(

@@ -2,7 +2,11 @@
 
 Cubic and quartic stiffness tensors are symmetric in all indices, so
 identification, persistence and interpolation store only the entries with
-sorted indices.  At run time a reduced model gathers them once into pair
+sorted indices.  A raw, slightly asymmetric tensor becomes unique entries in
+one place, :func:`symmetrize`: each entry is the mean of its sorted-index
+orbit (every index tuple that sorts to it), and the relative defect of the
+raw tensor against that symmetric one is the identification quality signal.
+At run time a reduced model gathers the unique entries once into pair
 matrices over the p = m(m+1)/2 index pairs a <= b (:func:`pair_matrix`):
 P2 (p, m) holds K2[a,b,k], and P3 (p, p) holds K3[a,b,k,l], doubled when
 k < l, so P3 times the pair products eta_k eta_l (k <= l) sums over all
@@ -13,7 +17,7 @@ symmetric (m, m) matrix; a force finishes from it with one more mat-vec.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -22,10 +26,9 @@ __all__ = [
     "n_unique",
     "sorted_multi_indices",
     "unique_position",
-    "unique_from_full",
     "full_from_unique",
+    "symmetrize",
     "pair_matrix",
-    "symmetrize_full",
     "force_quadratic",
     "force_cubic",
     "tangent_quadratic",
@@ -82,14 +85,6 @@ def _pair_gather(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return _positions(m, np.stack(np.broadcast_arrays(*idx))), weight
 
 
-def unique_from_full(full: np.ndarray) -> np.ndarray:
-    """Extract the sorted-index entries of a (symmetric) full tensor."""
-    m = full.shape[0]
-    order = full.ndim
-    idx = sorted_multi_indices(m, order)
-    return full[tuple(idx[:, k] for k in range(order))].copy()
-
-
 def full_from_unique(values: np.ndarray, m: int, order: int) -> np.ndarray:
     """Expand unique entries into the full tensor (symmetric by construction)."""
     values = np.asarray(values, dtype=float)
@@ -98,14 +93,21 @@ def full_from_unique(values: np.ndarray, m: int, order: int) -> np.ndarray:
     return values[unique_position(m, order)]
 
 
-def symmetrize_full(full: np.ndarray) -> tuple[np.ndarray, float]:
-    """Average over all index permutations; returns (symmetric, rel. asymmetry)."""
-    order = full.ndim
-    perms = list(permutations(range(order)))
-    sym = sum(np.transpose(full, p) for p in perms) / len(perms)
+def symmetrize(full: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unique entries of the symmetric part of `full`, and its relative asymmetry.
+
+    Each unique entry is the mean of the raw entries whose indices sort to
+    it; `asymmetry` is ||full - sym|| / ||sym|| (Frobenius, 0.0 for a zero
+    tensor) with `sym` expanded back through :func:`full_from_unique`.
+    """
+    full = np.asarray(full, dtype=float)
+    m, order = full.shape[0], full.ndim
+    position = unique_position(m, order).ravel()
+    unique = np.bincount(position, weights=full.ravel()) / np.bincount(position)
+    sym = full_from_unique(unique, m, order)
     denom = np.linalg.norm(sym.ravel())
     asym = 0.0 if denom == 0.0 else float(np.linalg.norm((full - sym).ravel()) / denom)
-    return sym, asym
+    return unique, asym
 
 
 def pair_matrix(values: np.ndarray, m: int, order: int) -> np.ndarray:

@@ -4,7 +4,9 @@ Two routes with the same output contract:
 
 * tangent-based: project the black-box tangent stiffness at imposed
   displacements along single and paired basis directions (2m + m(m-1)/2
-  evaluations) and extract quadratic/cubic slices in closed form;
+  evaluations) and extract quadratic/cubic slices in closed form into raw
+  dense tensors, which `sym_tensor.symmetrize` averages over each
+  sorted-index orbit into unique entries;
 * force-based: probe the black-box internal force along single, paired and
   tripled directions (2m + 2*C(m,2) + C(m,3) evaluations).  The reduced
   probe set is square only because the tensors are symmetric in all
@@ -13,7 +15,10 @@ Two routes with the same output contract:
   straight into unique-entry arrays (`sym_tensor.unique_position`); the
   first write to an entry wins and every redundant one is a residual.
 
-Both routes return fully symmetric tensors in unique-entry storage.
+Both routes return fully symmetric tensors in unique-entry storage.  Their
+`asymmetry` is the quality signal: for the tangent route the relative
+Frobenius defect of the raw tensors against their symmetric part, for the
+force route the largest consistency residual over the largest entry.
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .sym_tensor import (
-    n_unique,
-    symmetrize_full,
-    unique_from_full,
-    unique_position,
-)
+from .sym_tensor import n_unique, symmetrize, unique_position
 
 __all__ = [
     "IdentifiedTensors",
@@ -37,7 +37,6 @@ __all__ = [
     "build_ed_plan",
     "identify_eed",
     "identify_ed",
-    "symmetrize_and_check",
 ]
 
 
@@ -173,14 +172,15 @@ def identify_eed(tangent_fn, basis: np.ndarray, scales, k1_reduced) -> Identifie
         k3_raw[:, :, i, j] = cross
         k3_raw[:, :, j, i] = cross
 
-    k2u, k3u, asym = symmetrize_and_check(k2_raw, k3_raw)
+    k2u, asym2 = symmetrize(k2_raw)
+    k3u, asym3 = symmetrize(k3_raw)
     return IdentifiedTensors(
         m=m,
         k2_unique=k2u,
         k3_unique=k3u,
         method="eed",
         scales=scales,
-        asymmetry=asym,
+        asymmetry=max(asym2, asym3),
         eval_count=len(plan),
     )
 
@@ -308,14 +308,3 @@ def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTe
         m=m, k2_unique=k2, k3_unique=k3, method="ed",
         scales=scales, asymmetry=float(asym), eval_count=len(plan),
     )
-
-
-def symmetrize_and_check(k2_raw: np.ndarray, k3_raw: np.ndarray):
-    """Average raw tensors over all index permutations.
-
-    Returns unique-entry vectors plus the relative norm of the
-    pre-symmetrization defect (the identification quality signal).
-    """
-    k2_sym, asym2 = symmetrize_full(np.asarray(k2_raw, dtype=float))
-    k3_sym, asym3 = symmetrize_full(np.asarray(k3_raw, dtype=float))
-    return unique_from_full(k2_sym), unique_from_full(k3_sym), max(asym2, asym3)

@@ -216,6 +216,9 @@ def test_structure_violation_raises():
         ops = evaluate_prom(model, np.array([0.5, 0.5]), structure_check="warn")
     assert any("positivity" in str(w.message) for w in caught)
     assert ops.alpha < 0.0  # warn mode passes values through unclamped
+    # a misspelt mode must not turn the violation into a warning
+    with pytest.raises(ValueError, match="'error' or 'warn', not 'eror'"):
+        evaluate_prom(model, np.array([0.5, 0.5]), structure_check="eror")
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,19 +14,18 @@ from promforge.sym_tensor import (
     n_unique,
     pair_matrix,
     sorted_multi_indices,
-    symmetrize_full,
+    symmetrize,
     tangent_cubic,
     tangent_quadratic,
-    unique_from_full,
 )
 from promforge.tensor_id import IdentifiedTensors
 
 
 def random_symmetric(m, order, seed):
+    """Unique entries and full tensor of a random raw tensor's symmetric part."""
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((m,) * order)
-    sym, _ = symmetrize_full(raw)
-    return sym
+    unique, _ = symmetrize(rng.standard_normal((m,) * order))
+    return unique, full_from_unique(unique, m, order)
 
 
 def test_unique_counts():
@@ -36,35 +37,73 @@ def test_unique_counts():
 @pytest.mark.parametrize("order", [3, 4])
 def test_unique_full_round_trip(order):
     m = 4
-    sym = random_symmetric(m, order, seed=order)
-    u = unique_from_full(sym)
+    _, sym = random_symmetric(m, order, seed=order)
+    u, asym = symmetrize(sym)
     full = full_from_unique(u, m, order)
     np.testing.assert_allclose(full, sym, atol=1e-14)
-    # reconstructed tensor is symmetric by construction (ulp-level residue only)
-    _, asym = symmetrize_full(full)
+    # a tensor symmetric by construction averages back to itself (ulp-level residue only)
     assert asym < 1e-14
 
 
 def test_symmetrize_reports_perturbation():
     m = 3
-    sym = random_symmetric(m, 3, seed=1)
+    _, sym = random_symmetric(m, 3, seed=1)
 
     def defect(delta):
         bumped = sym.copy()
         bumped[0, 1, 2] += delta
-        s, asym = symmetrize_full(bumped)
-        return asym * np.linalg.norm(s.ravel())  # absolute defect norm
+        u, asym = symmetrize(bumped)
+        return asym * np.linalg.norm(full_from_unique(u, m, 3))  # absolute defect norm
 
     assert defect(0.5) > 0.0
     assert defect(1.0) == pytest.approx(2.0 * defect(0.5), rel=1e-12)
-    _, asym_clean = symmetrize_full(sym)
+    _, asym_clean = symmetrize(sym)
     assert asym_clean < 1e-15
+
+
+def _permutation_average(full):
+    """Reference symmetrization: the mean of all index-transposed copies."""
+    perms = list(permutations(range(full.ndim)))
+    sym = sum(np.transpose(full, p) for p in perms) / len(perms)
+    denom = np.linalg.norm(sym.ravel())
+    return sym, 0.0 if denom == 0.0 else float(np.linalg.norm((full - sym).ravel()) / denom)
+
+
+@given(
+    m=st.integers(1, 6),
+    order=st.sampled_from([3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    rel_defect=st.floats(1e-6, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_symmetrize_matches_permutation_average(m, order, seed, rel_defect):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m,) * order)
+    sorted_entries = tuple(sorted_multi_indices(m, order).T)
+
+    # random input: the orbit means are the permutation average's entries,
+    # up to the summation order's round-off
+    unique, _ = symmetrize(raw)
+    ref, _ = _permutation_average(raw)
+    assert np.max(np.abs(unique - ref[sorted_entries])) <= 1e-15 * np.max(np.abs(raw))
+
+    # exactly symmetric input: no defect beyond round-off
+    sym = full_from_unique(unique, m, order)
+    assert symmetrize(sym)[1] <= 1e-14
+
+    # a defect of relative size rel_defect (none exists for m = 1)
+    skew = raw - ref
+    if m > 1:
+        bumped = sym + rel_defect * np.linalg.norm(sym) / np.linalg.norm(skew) * skew
+        _, ref_asym = _permutation_average(bumped)
+        assert ref_asym >= 0.99 * rel_defect
+        assert symmetrize(bumped)[1] == pytest.approx(ref_asym, rel=1e-8, abs=0.0)
 
 
 def test_force_quadratic_matches_einsum():
     m = 5
-    sym = random_symmetric(m, 3, seed=2)
-    p2 = pair_matrix(unique_from_full(sym), m, 3)
+    u, sym = random_symmetric(m, 3, seed=2)
+    p2 = pair_matrix(u, m, 3)
     rng = np.random.default_rng(3)
     for _ in range(5):
         eta = rng.standard_normal(m)
@@ -75,8 +114,8 @@ def test_force_quadratic_matches_einsum():
 
 def test_force_cubic_matches_einsum():
     m = 4
-    sym = random_symmetric(m, 4, seed=4)
-    p3 = pair_matrix(unique_from_full(sym), m, 4)
+    u, sym = random_symmetric(m, 4, seed=4)
+    p3 = pair_matrix(u, m, 4)
     rng = np.random.default_rng(5)
     for _ in range(5):
         eta = rng.standard_normal(m)
@@ -86,9 +125,8 @@ def test_force_cubic_matches_einsum():
 
 def test_tangent_tables_match_einsum():
     m = 4
-    s3 = random_symmetric(m, 3, seed=6)
-    s4 = random_symmetric(m, 4, seed=7)
-    u3, u4 = unique_from_full(s3), unique_from_full(s4)
+    u3, s3 = random_symmetric(m, 3, seed=6)
+    u4, s4 = random_symmetric(m, 4, seed=7)
     p2, p3 = pair_matrix(u3, m, 3), pair_matrix(u4, m, 4)
     rng = np.random.default_rng(8)
     eta = rng.standard_normal(m)
@@ -107,24 +145,25 @@ _SPECS = {3: ("ajk,j,k->a", "abk,k->ab"), 4: ("ajkl,j,k,l->a", "abkl,k,l->ab")}
 _KERNELS = {3: (force_quadratic, tangent_quadratic), 4: (force_cubic, tangent_cubic)}
 
 
-def _pair_form(tensor, eta):
+def _pair_form(unique, tensor, eta):
     """Force and tangent of `tensor` at eta, contracted through its pair matrix."""
     m, order = tensor.shape[0], tensor.ndim
     force_fn, tangent_fn = _KERNELS[order]
-    tangent = tangent_fn(pair_matrix(unique_from_full(tensor), m, order), eta)
+    tangent = tangent_fn(pair_matrix(unique, m, order), eta)
     return force_fn(tangent, eta), tangent
 
 
 @st.composite
 def tensor_and_eta(draw):
-    """A random fully symmetric tensor of order 3 or 4 and a point eta."""
+    """A random fully symmetric tensor of order 3 or 4 (unique entries and
+    full tensor) and a point eta."""
     m = draw(st.integers(1, 8))
     order = draw(st.sampled_from([3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.floats(1e-3, 1e3))
-    tensor, _ = symmetrize_full(scale * rng.standard_normal((m,) * order))
+    unique, _ = symmetrize(scale * rng.standard_normal((m,) * order))
     eta = draw(arrays(float, m, elements=st.floats(-10.0, 10.0)))
-    return tensor, eta
+    return unique, full_from_unique(unique, m, order), eta
 
 
 def _einsum_check(got, spec, tensor, eta):
@@ -138,16 +177,16 @@ def _einsum_check(got, spec, tensor, eta):
 @given(tensor_and_eta())
 @settings(max_examples=60, deadline=None)
 def test_contractions_match_einsum(case):
-    tensor, eta = case
-    for got, spec in zip(_pair_form(tensor, eta), _SPECS[tensor.ndim]):
+    unique, tensor, eta = case
+    for got, spec in zip(_pair_form(unique, tensor, eta), _SPECS[tensor.ndim]):
         _einsum_check(got, spec, tensor, eta)
 
 
 @given(tensor_and_eta())
 @settings(max_examples=60, deadline=None)
 def test_tangent_is_symmetric_and_satisfies_euler_identity(case):
-    tensor, eta = case
-    force, tangent = _pair_form(tensor, eta)
+    unique, tensor, eta = case
+    force, tangent = _pair_form(unique, tensor, eta)
     scale = np.max(np.abs(tensor), initial=0.0) * np.sum(np.abs(eta)) ** (tensor.ndim - 2)
     np.testing.assert_allclose(tangent, tangent.T, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(
@@ -158,11 +197,11 @@ def test_tangent_is_symmetric_and_satisfies_euler_identity(case):
 @given(tensor_and_eta())
 @settings(max_examples=60, deadline=None)
 def test_unique_full_round_trip_over_random_sizes(case):
-    tensor, _ = case
+    _, tensor, _ = case
     m, order = tensor.shape[0], tensor.ndim
-    # symmetrize_full leaves ulp-level differences between permuted entries
+    # an orbit mean of equal entries may differ from them in the last bits
     np.testing.assert_allclose(
-        full_from_unique(unique_from_full(tensor), m, order),
+        full_from_unique(symmetrize(tensor)[0], m, order),
         tensor,
         rtol=0.0,
         atol=1e-15 * np.max(np.abs(tensor)),

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.direct_tensors import reduced_tensors_direct
-from promforge.sym_tensor import (
-    full_from_unique,
-    sorted_multi_indices,
-    symmetrize_full,
-    unique_from_full,
-)
+from promforge.sym_tensor import full_from_unique, sorted_multi_indices, symmetrize
 from promforge.tensor_id import (
     IdentifiedTensors,
     build_ed_plan,
@@ -21,7 +16,6 @@ from promforge.tensor_id import (
     identify_ed,
     identify_eed,
     plan_scales,
-    symmetrize_and_check,
 )
 
 SPEC = BeamSpec()
@@ -47,9 +41,8 @@ class SyntheticCubicModel:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((m, m))
         self.k1 = a @ a.T + m * np.eye(m)
-        k2, _ = symmetrize_full(rng.standard_normal((m, m, m)))
-        k3, _ = symmetrize_full(rng.standard_normal((m, m, m, m)))
-        self.k2u, self.k3u = unique_from_full(k2), unique_from_full(k3)
+        self.k2u, _ = symmetrize(rng.standard_normal((m, m, m)))
+        self.k3u, _ = symmetrize(rng.standard_normal((m, m, m, m)))
         self.k2 = full_from_unique(self.k2u, m, 3)
         self.k3 = full_from_unique(self.k3u, m, 4)
         self.m = m
@@ -371,24 +364,24 @@ def test_identified_tensors_reproduce_black_box_force(beam_setup):
 # ----------------------------------------------------------------------
 # symmetrization
 # ----------------------------------------------------------------------
-def test_symmetrize_and_check_clean_input():
+def test_symmetrize_clean_input():
     rng = np.random.default_rng(9)
-    k2, _ = symmetrize_full(rng.standard_normal((3, 3, 3)))
-    k3, _ = symmetrize_full(rng.standard_normal((3, 3, 3, 3)))
-    k2u, k3u, asym = symmetrize_and_check(k2, k3)
-    assert asym < 1e-14
+    k2 = full_from_unique(symmetrize(rng.standard_normal((3, 3, 3)))[0], 3, 3)
+    k3 = full_from_unique(symmetrize(rng.standard_normal((3, 3, 3, 3)))[0], 3, 4)
+    (k2u, asym2), (_, asym3) = symmetrize(k2), symmetrize(k3)
+    assert max(asym2, asym3) < 1e-14
     np.testing.assert_allclose(full_from_unique(k2u, 3, 3), k2, atol=1e-14)
 
 
-def test_symmetrize_and_check_perturbation_scales():
+def test_symmetrize_defect_proportional_to_bump():
     rng = np.random.default_rng(10)
-    k2, _ = symmetrize_full(rng.standard_normal((3, 3, 3)))
-    k3 = np.zeros((3, 3, 3, 3))
+    k2 = full_from_unique(symmetrize(rng.standard_normal((3, 3, 3)))[0], 3, 3)
+    assert symmetrize(np.zeros((3, 3, 3, 3)))[1] == 0.0
     bump = k2.copy()
     bump[0, 1, 2] += 1e-3
-    _, _, asym_small = symmetrize_and_check(bump, k3)
+    asym_small = symmetrize(bump)[1]
     bump[0, 1, 2] += 1e-3
-    _, _, asym_large = symmetrize_and_check(bump, k3)
+    asym_large = symmetrize(bump)[1]
     assert asym_large == pytest.approx(2.0 * asym_small, rel=1e-3)
 
 
