@@ -5,8 +5,11 @@ For each workload seed s the desk config is run with the sampling seeds
 perfbench's `make_config`, imported with its `ACCURACY_BOUND` from
 `perfbench/workloads.py` so the two cannot drift.  Each seed is built, fitted
 and benchmarked through the public API; the script prints every test
-point's interpolated relative L2 error and the eps selected per operator,
-then one summary line (median, maximum, points above the 5% bound).
+point's interpolated relative L2 error next to its recomputed one (the
+exact ROM at that point, in the training frame), so interpolation error
+and reduction error can be told apart, and the eps selected per operator.
+One summary line of the interpolated errors follows (median, maximum,
+points above the 5% bound).
 
     PYTHONPATH=src python scripts/seed_errors.py            # seeds 0-19, about 3 min
     PYTHONPATH=src python scripts/seed_errors.py --seeds 0 1 10
@@ -33,14 +36,19 @@ from promforge.pipeline import (  # noqa: E402
 from promforge.rbf import OPERATOR_NAMES  # noqa: E402
 
 
-def seed_errors(raw: dict, seed: int) -> tuple[list, dict]:
-    """Interpolated error per test point (None where the surrogate failed)
-    and the selected eps per operator."""
+def seed_errors(raw: dict, seed: int) -> tuple[list, list, dict]:
+    """Interpolated and recomputed error per test point (None where that
+    model failed) and the selected eps per operator."""
     cfg = make_config(raw, [], seed)
     train = build_database(cfg, "train")
     db = fit_prom(train, build_companion_database(train, cfg, "validation"), cfg)
     report = run_benchmark(db, cfg)
-    return [e.get("interpolated") for e in report.errors], db.validation.selected
+    interpolated = [e.get("interpolated") for e in report.errors]
+    return interpolated, [e.get("recomputed") for e in report.errors], db.validation.selected
+
+
+def _percent(error) -> str:
+    return "failed" if error is None else f"{100 * error:6.2f}"
 
 
 def main(argv=None) -> int:
@@ -50,14 +58,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     raw = yaml.safe_load(args.config.read_text(encoding="utf-8"))
 
-    print("seed  interpolated error per test point (%)   selected eps " + " ".join(OPERATOR_NAMES))
+    print(
+        "seed  interpolated/recomputed error per test point (%)   selected eps "
+        + " ".join(OPERATOR_NAMES)
+    )
     all_errors = []
     for seed in args.seeds:
-        errors, selected = seed_errors(raw, seed)
+        errors, recomputed, selected = seed_errors(raw, seed)
         all_errors.extend(errors)
-        shown = " ".join("failed" if e is None else f"{100 * e:6.2f}" for e in errors)
+        shown = " ".join(f"{_percent(e)}/{_percent(r)}" for e, r in zip(errors, recomputed))
         eps = " ".join(f"{selected[name]:.4g}" for name in OPERATOR_NAMES)
-        print(f"{seed:4d}  {shown:38s}   {eps}", flush=True)
+        print(f"{seed:4d}  {shown:48s}   {eps}", flush=True)
 
     finite = np.array([e for e in all_errors if e is not None])
     above = sum(e is None or e > ACCURACY_BOUND for e in all_errors)

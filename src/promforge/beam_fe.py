@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _GAUSS_POINTS = 5  # exact for the degree-8 stiffness/force integrands
+_STATIC_TOL_REL = 1e-9  # Newton residual tolerance relative to the load norm
+_STATIC_MAX_ITERATIONS = 25  # per load increment
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,8 @@ def _gauss_unit_interval(n):
 
 
 def _hermite_rows(xi, le):
-    """Value/derivative rows of the cubic Hermite basis on one element."""
+    """Value/derivative rows of the cubic Hermite basis at points `xi` of
+    elements of length `le` (broadcast against each other)."""
     h = np.stack(
         [
             1.0 - 3.0 * xi**2 + 2.0 * xi**3,
@@ -110,7 +113,7 @@ def _hermite_rows(xi, le):
             ],
             axis=-1,
         )
-        / le
+        / le[..., None]
     )
     ddh = (
         np.stack(
@@ -122,7 +125,7 @@ def _hermite_rows(xi, le):
             ],
             axis=-1,
         )
-        / le**2
+        / le[..., None] ** 2
     )
     return h, dh, ddh
 
@@ -181,35 +184,28 @@ class CurvedBeamAssembly:
         self._rhoA = spec.density * spec.area
         self._wq = le[:, None] * wg[None, :]  # (n_el, n_g), includes jacobian
 
-        self._rows_a = np.zeros((n_el, n_g, 6))
+        h, dh, ddh = _hermite_rows(np.broadcast_to(xi, (n_el, n_g)), le[:, None])  # (n_el, n_g, 4)
+        hermite = [1, 2, 4, 5]
+        bu = np.zeros((n_el, n_g, 6))
+        bu[:, :, 0] = -1.0 / le[:, None]
+        bu[:, :, 3] = 1.0 / le[:, None]
         self._rows_b = np.zeros((n_el, n_g, 6))
+        self._rows_b[:, :, hermite] = dh
         self._rows_c = np.zeros((n_el, n_g, 6))
+        self._rows_c[:, :, hermite] = ddh
         self._rows_nu = np.zeros((n_el, n_g, 6))
+        self._rows_nu[:, :, 0] = 1.0 - xi
+        self._rows_nu[:, :, 3] = xi
         self._rows_nw = np.zeros((n_el, n_g, 6))
+        self._rows_nw[:, :, hermite] = h
 
+        # initial slope interpolated with the same Hermite basis, so every
+        # integrand stays polynomial and the Gauss rule is exact
         zp_nodes = initial_slope(self.nodes_x, self.geometry, self.spec)
-        for e in range(n_el):
-            h, dh, ddh = _hermite_rows(xi, le[e])  # (n_g, 4)
-            bu = np.zeros((n_g, 6))
-            bu[:, 0] = -1.0 / le[e]
-            bu[:, 3] = 1.0 / le[e]
-            bw = np.zeros((n_g, 6))
-            bw[:, [1, 2, 4, 5]] = dh
-            bw2 = np.zeros((n_g, 6))
-            bw2[:, [1, 2, 4, 5]] = ddh
-
-            # initial slope interpolated with the same Hermite basis, so every
-            # integrand stays polynomial and the Gauss rule is exact
-            na, nb = self.connectivity[e]
-            z_e = np.array([self.nodes_z[na], zp_nodes[na], self.nodes_z[nb], zp_nodes[nb]])
-            z0p = dh @ z_e  # (n_g,)
-
-            self._rows_a[e] = bu + z0p[:, None] * bw
-            self._rows_b[e] = bw
-            self._rows_c[e] = bw2
-            self._rows_nu[e, :, 0] = 1.0 - xi
-            self._rows_nu[e, :, 3] = xi
-            self._rows_nw[e][:, [1, 2, 4, 5]] = h
+        na, nb = self.connectivity[:, 0], self.connectivity[:, 1]
+        z_e = np.column_stack([self.nodes_z[na], zp_nodes[na], self.nodes_z[nb], zp_nodes[nb]])
+        z0p = np.matmul(dh, z_e[:, :, None])  # (n_el, n_g, 1)
+        self._rows_a = bu + z0p * self._rows_b
 
     # ------------------------------------------------------------------
     # DOF bookkeeping
@@ -349,9 +345,6 @@ def static_solve(
     assembly: CurvedBeamAssembly,
     load,
     q0=None,
-    tol_rel: float = 1e-9,
-    tol_abs: float = 0.0,
-    max_iterations: int = 25,
     max_bisections: int = 6,
 ) -> np.ndarray:
     """Solve internal_force(q) = load by Newton iteration with load stepping.
@@ -373,9 +366,9 @@ def static_solve(
             raise ValueError("initial guess has wrong length")
 
     def newton(q_start, target):
-        tol = tol_abs + tol_rel * max(np.linalg.norm(target), 1e-30)
+        tol = _STATIC_TOL_REL * max(np.linalg.norm(target), 1e-30)
         q = q_start.copy()
-        for _ in range(max_iterations):
+        for _ in range(_STATIC_MAX_ITERATIONS):
             r = assembly.internal_force(q) - target
             if np.linalg.norm(r) <= tol:
                 return q

@@ -51,6 +51,11 @@ def _add_common(parser):
     )
 
 
+def _model_errors(errors: dict) -> str:
+    """One point's relative errors as "kind=err%" entries, sorted by model."""
+    return ", ".join(f"{k}={v:.3%}" for k, v in sorted(errors.items()))
+
+
 def cmd_build(args) -> int:
     cfg, out = _load_cfg(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -85,9 +90,8 @@ def cmd_bench(args) -> int:
     save_report(report, out / "bench.promdb")
     write_timings(report, out)
     for i in range(report.n_points):
-        errs = ", ".join(f"{k}={v:.3%}" for k, v in sorted(report.errors[i].items()))
         fails = "; ".join(f"{k}: {v}" for k, v in report.failures[i].items())
-        line = f"test point {i} {report.physical_points[i]}: {errs}"
+        line = f"test point {i} {report.physical_points[i]}: {_model_errors(report.errors[i])}"
         if fails:
             line += f" [failed: {fails}]"
         print(line)
@@ -123,8 +127,7 @@ def cmd_inspect(args) -> int:
         report = load_report(args.path)
         print(f"  test points: {report.n_points}, monitors: {report.monitors}")
         for i in range(report.n_points):
-            errs = ", ".join(f"{k}={v:.3%}" for k, v in sorted(report.errors[i].items()))
-            print(f"  point {i}: {errs or 'no errors recorded'}")
+            print(f"  point {i}: {_model_errors(report.errors[i]) or 'no errors recorded'}")
     else:
         print(f"  arrays: {sorted(arrays)}")
         print(f"  meta keys: {sorted(meta)}")

@@ -90,11 +90,12 @@ def fix_signs(columns: np.ndarray) -> np.ndarray:
     return columns
 
 
-def solve_vms(mass, stiffness, k: int, validate: bool = True) -> ModeSet:
+def solve_vms(mass, stiffness, k: int) -> ModeSet:
     """Lowest-frequency modes of the symmetric (stiffness, mass) pencil.
 
     Modes are mass-normalized, frequency-ascending, with the sign convention
-    that the largest-magnitude entry of each mode is positive.
+    that the largest-magnitude entry of each mode is positive, and are
+    validated against both matrices.
     """
     n = mass.shape[0]
     if k < 1 or k > n:
@@ -107,8 +108,7 @@ def solve_vms(mass, stiffness, k: int, validate: bool = True) -> ModeSet:
         raise ValueError("pencil is not positive definite")
     fix_signs(phi)
     ms = ModeSet(shapes=phi, omegas=np.sqrt(w2), numbers=np.arange(k))
-    if validate:
-        ms.validate(mass, stiffness)
+    ms.validate(mass, stiffness)
     return ms
 
 

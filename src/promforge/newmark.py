@@ -19,6 +19,9 @@ from .errors import NonConvergenceError
 
 __all__ = ["ImplicitModel", "TimeHistory", "newmark_integrate"]
 
+_NEWTON_TOL_REL = 1e-8  # residual tolerance relative to the largest force term
+_NEWTON_MAX_ITERATIONS = 20
+
 
 @dataclass
 class ImplicitModel:
@@ -59,19 +62,13 @@ def newmark_integrate(
     gamma: float = 0.5,
     beta: float = 0.25,
     q0=None,
-    v0=None,
     kind: str = "",
-    newton_tol_rel: float = 1e-8,
-    newton_tol_abs: float = 0.0,
-    newton_max_iterations: int = 20,
 ) -> TimeHistory:
-    """Integrate M q'' + C q' + f(q) = p(t) from rest (unless overridden)."""
+    """Integrate M q'' + C q' + f(q) = p(t) from zero velocity at `q0` (default: rest)."""
     if dt <= 0.0 or t_span <= 0.0:
         raise ValueError("dt and t_span must be positive")
     if beta <= 0.0:
         raise ValueError("Newmark beta must be positive")
-    if newton_max_iterations < 1:
-        raise ValueError("newton_max_iterations must be at least 1")
     d = model.size
     n_steps = max(1, int(np.ceil(t_span / dt - 1e-12)))
     time = dt * np.arange(n_steps + 1)
@@ -84,9 +81,7 @@ def newmark_integrate(
     a = np.zeros((n_steps + 1, d))
     if q0 is not None:
         q[0] = np.asarray(q0, dtype=float)
-    if v0 is not None:
-        v[0] = np.asarray(v0, dtype=float)
-    rhs = load(0.0) - apply_damping(v[0]) - force(q[0])
+    rhs = load(0.0) - force(q[0])  # zero initial velocity: no damping force
     a[0] = rhs / mass if mass.ndim == 1 else np.linalg.solve(mass, rhs)
 
     c0 = 1.0 / (beta * dt**2)
@@ -109,7 +104,7 @@ def newmark_integrate(
 
         q_new = q_pred + start_a * a[k]  # constant-acceleration start
         converged = False
-        for it in range(newton_max_iterations):
+        for it in range(_NEWTON_MAX_ITERATIONS):
             a_new = c0 * (q_new - q_pred)
             v_new = v_pred + gdt * a_new
             f_int = force(q_new)
@@ -118,7 +113,7 @@ def newmark_integrate(
             r = inertia + damping + f_int - p_new
             ref = max(p_norm, _norm(f_int), _norm(inertia), _norm(damping))
             r_norm = _norm(r)
-            if r_norm <= newton_tol_abs + newton_tol_rel * max(ref, 1e-30):
+            if r_norm <= _NEWTON_TOL_REL * max(ref, 1e-30):
                 converged = True
                 break
             q_new = q_new - np.linalg.solve(lhs + tangent(q_new), r)

@@ -85,15 +85,13 @@ def _lhs_design(n_points: int, n_dims: int, rng: np.random.Generator) -> np.ndar
     return design
 
 
-def lhs_sample(
-    n_points: int,
-    n_dims: int,
-    seed: int,
-    n_candidates: int = 50,
-) -> SampleSet:
+_LHS_CANDIDATES = 50
+
+
+def lhs_sample(n_points: int, n_dims: int, seed: int) -> SampleSet:
     """Maximin Latin Hypercube sample of the unit hypercube.
 
-    Draws `n_candidates` seeded LHS designs and keeps the one with the
+    Draws `_LHS_CANDIDATES` seeded LHS designs and keeps the one with the
     largest minimal pairwise distance.  Deterministic for a fixed seed.
     """
     if n_points < 1:
@@ -101,7 +99,7 @@ def lhs_sample(
     rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
-    for _ in range(max(1, n_candidates)):
+    for _ in range(_LHS_CANDIDATES):
         design = _lhs_design(n_points, n_dims, rng)
         if n_points == 1:
             score = np.inf

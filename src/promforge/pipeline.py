@@ -139,8 +139,7 @@ def sample_rom(cfg: RunConfig, assembly, local_basis: LocalBasis, omegas, p_hat,
 
 def _sample_ingredients(cfg: RunConfig, assembly, counters):
     """Modes and companion vectors for one sample."""
-    mass = assembly.mass_matrix()
-    stiffness = assembly.linear_stiffness()
+    mass, stiffness = assembly.mass_matrix(), assembly.linear_stiffness()
     n_modes = min(cfg.basis.n_modes, assembly.n)
     all_modes = solve_vms(mass, stiffness, n_modes)
     pattern = uniform_transverse_pattern(assembly)
@@ -218,44 +217,55 @@ def build_database(cfg: RunConfig, role: str = "train") -> RomDatabase:
     )
 
 
+def _fresh_point_fe(cfg: RunConfig, p_physical):
+    """Assembly, mass, linear stiffness and (omega1, omega2) at one parameter point."""
+    assembly = make_assembly(cfg, p_physical)
+    mass, stiffness = assembly.mass_matrix(), assembly.linear_stiffness()
+    return assembly, mass, stiffness, solve_vms(mass, stiffness, 2).omegas
+
+
+def _nearest(train_points, p_hat) -> int:
+    """Index of the training sample nearest to `p_hat` in normalized coordinates."""
+    return int(np.argmin(np.linalg.norm(train_points - p_hat, axis=1)))
+
+
+def _matched_rom(cfg: RunConfig, train_db: RomDatabase, fe, p_hat, index: int, counters=None):
+    """(matched local basis, ROM) of a fresh point with FE data `fe`, in the training frame.
+
+    The training global basis is mass-orthogonalized with the point's own
+    matrices, then MAC-matched to the nearest training sample's basis.
+    """
+    assembly, mass, stiffness, omegas = fe
+    local = mass_orthogonalize(train_db.global_basis.vectors, mass, stiffness)
+    nearest = _nearest(train_db.points, p_hat)
+    ref = LocalBasis(vectors=train_db.roms[nearest].basis, omegas=train_db.roms[nearest].omegas)
+    ref_mass = make_assembly(cfg, denormalize(train_db.points[nearest], cfg.bounds())).mass_matrix()
+    matched = match_to_reference(ref, ref_mass, local, candidate_index=index, ref_index=nearest)
+    return matched, sample_rom(cfg, assembly, matched, omegas, p_hat, counters)
+
+
 def build_companion_database(
     train_db: RomDatabase, cfg: RunConfig, role: str = "validation"
 ) -> RomDatabase:
-    """Build ROMs for fresh samples on the training global basis.
+    """Build ROMs for fresh samples in the training reduced frame.
 
-    Validation (and test) operators must live in the same reduced frame as
-    the training database to be comparable entry by entry, so each new
-    sample reuses the training global basis, is mass-orthogonalized with
-    its own matrices, and is column-matched against the nearest training
-    sample's basis.
+    Validation and test operators must be comparable with the training ones
+    entry by entry, so each sample's ROM comes from `_matched_rom`, the
+    path `run_benchmark`'s recomputed model also takes.
     """
     if role == "train":
         raise ValueError("companion role must be validation or test, not 'train'")
     samples = _draw(cfg, role)
     bounds = cfg.bounds()
     counters = _new_counters()
-    train_masses = {}
 
     roms, matched_bases = [], []
-    for i in range(len(samples)):
-        p_phys = denormalize(samples.points[i], bounds)
+    for i, p_hat in enumerate(samples.points):
+        p_phys = denormalize(p_hat, bounds)
         with _naming_sample(role, i, p_phys):
-            assembly = make_assembly(cfg, p_phys)
-            mass = assembly.mass_matrix()
-            stiffness = assembly.linear_stiffness()
-            local = mass_orthogonalize(train_db.global_basis.vectors, mass, stiffness)
-
-            nearest = int(np.argmin(np.linalg.norm(train_db.points - samples.points[i], axis=1)))
-            if nearest not in train_masses:
-                train_phys = denormalize(train_db.points[nearest], bounds)
-                train_masses[nearest] = make_assembly(cfg, train_phys).mass_matrix()
-            ref_rom = train_db.roms[nearest]
-            ref = LocalBasis(vectors=ref_rom.basis, omegas=ref_rom.omegas)
-            matched = match_to_reference(
-                ref, train_masses[nearest], local, candidate_index=i, ref_index=nearest
-            )
-            omegas = solve_vms(mass, stiffness, 2).omegas
-            roms.append(sample_rom(cfg, assembly, matched, omegas, samples.points[i], counters))
+            fe = _fresh_point_fe(cfg, p_phys)
+            matched, rom = _matched_rom(cfg, train_db, fe, p_hat, i, counters)
+        roms.append(rom)
         matched_bases.append(matched)
 
     return RomDatabase(
@@ -336,54 +346,44 @@ def dominant_period(time, trace, t_start) -> float:
 def _relative_l2(time_model, traces_model, time_ref, traces_ref) -> float:
     """Relative L2 over monitored traces, reference interpolated in time."""
     ref_on_model = np.column_stack(
-        [
-            np.interp(time_model, time_ref, traces_ref[:, j])
-            for j in range(traces_ref.shape[1])
-        ]
+        [np.interp(time_model, time_ref, traces_ref[:, j]) for j in range(traces_ref.shape[1])]
     )
-    return float(
-        np.linalg.norm(traces_model - ref_on_model) / np.linalg.norm(ref_on_model)
-    )
+    return float(np.linalg.norm(traces_model - ref_on_model) / np.linalg.norm(ref_on_model))
 
 
 def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
-    """Integrate the five model variants at every test point and compare."""
+    """Integrate the five model variants at every test point and compare.
+
+    The recomputed model is the point's `_matched_rom`, the ROM that
+    `build_companion_database(db, cfg, "test")` builds; a failing model
+    becomes a `failures` entry of its point.
+    """
     if db.prom is None:
         raise ValueError("database carries no fitted surrogate; run the fit step first")
-    bounds = cfg.bounds()
     test = _draw(cfg, "test")
-    physical = np.stack([denormalize(p, bounds) for p in test.points])
+    physical = np.stack([denormalize(p, cfg.bounds()) for p in test.points])
 
     histories, errors, periods, failures, timings, closest_ids = [], [], [], [], [], []
-    for i in range(len(test)):
-        p_hat = test.points[i]
-        p_phys = physical[i]
-        assembly = make_assembly(cfg, p_phys)
-        mass = assembly.mass_matrix()
-        stiffness = assembly.linear_stiffness()
+    for i, p_hat in enumerate(test.points):
+        fe = _fresh_point_fe(cfg, physical[i])
+        assembly, mass, stiffness, omegas = fe
         mon_idx, mon_labels = resolve_monitors(assembly, cfg.monitors)
 
         pattern = uniform_transverse_pattern(assembly)
         pulse = PulseLoad(pattern=pattern, amplitude=cfg.load.amplitude, t_pulse=cfg.load.t_pulse)
 
-        fe_modes = solve_vms(mass, stiffness, 2)
-        alpha_fe, beta_fe = rayleigh_params(
-            fe_modes.omegas[0], fe_modes.omegas[1], cfg.damping.zeta
-        )
+        alpha_fe, beta_fe = rayleigh_params(omegas[0], omegas[1], cfg.damping.zeta)
         damping_full = alpha_fe * mass + beta_fe * stiffness
 
-        surrogate_failure = None
-        interp_ops = None
+        interp_ops = surrogate_failure = None
         try:
-            interp_ops = evaluate_prom(
-                db.prom, p_hat, structure_check=cfg.interpolation.structure_check
-            )
+            interp_ops = evaluate_prom(db.prom, p_hat, structure_check=cfg.interpolation.structure_check)
         except PromforgeError as exc:
             surrogate_failure = f"{type(exc).__name__}: {exc}"
-        closest = int(np.argmin(np.linalg.norm(db.points - p_hat[None, :], axis=1)))
+        closest = _nearest(db.points, p_hat)
         closest_ids.append(closest)
 
-        dt_hfm = (2.0 * np.pi / fe_modes.omegas[0]) / cfg.integration.hfm_steps_per_period
+        dt_hfm = (2.0 * np.pi / omegas[0]) / cfg.integration.hfm_steps_per_period
         # one shared reduced-model step so stored and surrogate models land on
         # the same grid; fall back to the stored neighbour if evaluation failed
         dt_source = interp_ops if interp_ops is not None else db.roms[closest]
@@ -413,8 +413,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
             return run
 
         def recomputed_runner():
-            local = mass_orthogonalize(db.global_basis.vectors, mass, stiffness)
-            return rom_runner(sample_rom(cfg, assembly, local, fe_modes.omegas, p_hat))()
+            return rom_runner(_matched_rom(cfg, db, fe, p_hat, i)[1])()
 
         def surrogate_runner(make_ops):
             def run():

@@ -83,6 +83,45 @@ def test_free_dof_count():
     assert asm.n_full - asm.clamped_dofs.size == asm.n
 
 
+def _quadrature_rows_per_element(asm):
+    """Element-by-element quadrature rows: the reference the batched
+    precomputation must reproduce bit for bit."""
+    xi, wg = np.polynomial.legendre.leggauss(5)
+    xi, wg = (xi + 1.0) / 2.0, wg / 2.0
+    le = np.diff(asm.nodes_x)
+    zp_nodes = initial_slope(asm.nodes_x, asm.geometry, asm.spec)
+    rows = {name: np.zeros((asm.n_elements, xi.size, 6)) for name in ("a", "b", "c", "nu", "nw")}
+    for e in range(asm.n_elements):
+        L = le[e]
+        h = np.stack([1.0 - 3.0 * xi**2 + 2.0 * xi**3, L * (xi - 2.0 * xi**2 + xi**3),
+                      3.0 * xi**2 - 2.0 * xi**3, L * (-(xi**2) + xi**3)], axis=-1)
+        dh = np.stack([-6.0 * xi + 6.0 * xi**2, L * (1.0 - 4.0 * xi + 3.0 * xi**2),
+                       6.0 * xi - 6.0 * xi**2, L * (-2.0 * xi + 3.0 * xi**2)], axis=-1) / L
+        ddh = np.stack([-6.0 + 12.0 * xi, L * (-4.0 + 6.0 * xi),
+                        6.0 - 12.0 * xi, L * (-2.0 + 6.0 * xi)], axis=-1) / L**2
+        bu = np.zeros((xi.size, 6))
+        bu[:, 0], bu[:, 3] = -1.0 / L, 1.0 / L
+        na, nb = asm.connectivity[e]
+        z0p = dh @ np.array([asm.nodes_z[na], zp_nodes[na], asm.nodes_z[nb], zp_nodes[nb]])
+        rows["b"][e][:, [1, 2, 4, 5]] = dh
+        rows["c"][e][:, [1, 2, 4, 5]] = ddh
+        rows["a"][e] = bu + z0p[:, None] * rows["b"][e]
+        rows["nu"][e, :, 0], rows["nu"][e, :, 3] = 1.0 - xi, xi
+        rows["nw"][e][:, [1, 2, 4, 5]] = h
+    return rows, le[:, None] * wg[None, :]
+
+
+@pytest.mark.parametrize("n_el", [4, 40, 101, 400])
+@pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (1.0, 0.3), (3.0, -0.5), (0.5, 1.0)])
+def test_batched_quadrature_rows_match_per_element_loop(p1, p2, n_el):
+    asm = make(p1, p2, n_el)
+    rows, wq = _quadrature_rows_per_element(asm)
+    for name, ref in rows.items():
+        got = getattr(asm, f"_rows_{name}")
+        assert got.tobytes() == ref.tobytes(), name
+    assert asm._wq.tobytes() == wq.tobytes()
+
+
 # ----------------------------------------------------------------------
 # mass matrix
 # ----------------------------------------------------------------------

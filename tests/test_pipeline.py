@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from promforge import pipeline
+from promforge.beam_fe import PulseLoad, uniform_transverse_pattern
 from promforge.cli import main as cli_main
 from promforge.config import config_from_dict
 from promforge.database import MODEL_KINDS, load_database, load_report
-from promforge.errors import EmptySelectionError, NonConvergenceError
+from promforge.errors import DuplicateAssignmentError, EmptySelectionError, NonConvergenceError
+from promforge.global_basis import mass_orthogonalize
+from promforge.modes import solve_vms
+from promforge.newmark import newmark_integrate
 from promforge.pipeline import (
     build_companion_database,
     build_database,
@@ -17,7 +21,10 @@ from promforge.pipeline import (
     make_assembly,
     resolve_monitors,
     run_benchmark,
+    sample_rom,
 )
+from promforge.rbf import evaluate_prom
+from promforge.rom import rom_model
 
 SMALL = {
     "sampling": {"n_train": 4, "n_validation": 2, "n_test": 2},
@@ -229,6 +236,52 @@ def test_benchmark_at_training_point_reproduces_training_rom():
         assert num < 1e-8 * den
         c = report.histories[i]["recomputed"]
         assert np.linalg.norm(c["traces"] - b["traces"]) < 1e-8 * den
+
+
+def test_recomputed_model_is_the_matched_test_rom(pipeline_result):
+    # one path from a fresh point to its ROM: the benchmark's recomputed model
+    # is the test companion database's ROM, matched into the training frame
+    cfg, db, report = pipeline_result
+    test_db = build_companion_database(db, cfg, "test")
+    np.testing.assert_array_equal(report.test_points, test_db.points)
+    np.testing.assert_array_equal(report.closest_indices, test_db.lineage["references"])
+    run = cfg.integration
+    for i, matched in enumerate(test_db.roms):
+        asm = make_assembly(cfg, report.physical_points[i])
+        mon_idx, _ = resolve_monitors(asm, cfg.monitors)
+        pulse = PulseLoad(uniform_transverse_pattern(asm), cfg.load.amplitude, cfg.load.t_pulse)
+        interp = evaluate_prom(db.prom, report.test_points[i], cfg.interpolation.structure_check)
+        dt = (2.0 * np.pi / np.sqrt(np.min(interp.k1_diag))) / run.rom_steps_per_period
+
+        def response(ops):
+            hist = newmark_integrate(rom_model(ops, pulse.at), run.t_span, dt, run.gamma, run.beta)
+            return hist.time, hist.displacement @ ops.basis[mon_idx, :].T
+
+        recomputed = report.histories[i]["recomputed"]
+        time, traces = response(matched)
+        assert recomputed["time"].tobytes() == time.tobytes()
+        assert recomputed["traces"].tobytes() == traces.tobytes()
+
+        # the unmatched ROM differs only by column order and signs
+        mass, stiffness = asm.mass_matrix(), asm.linear_stiffness()
+        local = mass_orthogonalize(db.global_basis.vectors, mass, stiffness)
+        omegas = solve_vms(mass, stiffness, 2).omegas
+        _, unmatched = response(sample_rom(cfg, asm, local, omegas, report.test_points[i]))
+        assert np.linalg.norm(traces - unmatched) <= 1e-10 * np.linalg.norm(unmatched)
+
+
+def test_benchmark_keeps_a_recomputed_matching_failure_per_point(monkeypatch, pipeline_result):
+    cfg, db, _ = pipeline_result
+
+    def duplicate(*args, **kwargs):
+        raise DuplicateAssignmentError("two columns on one reference column")
+
+    monkeypatch.setattr(pipeline, "match_to_reference", duplicate)
+    report = run_benchmark(db, cfg)
+    for per_point, fails in zip(report.histories, report.failures):
+        assert set(fails) == {"recomputed"}
+        assert "DuplicateAssignmentError" in fails["recomputed"]
+        assert set(per_point) == set(MODEL_KINDS) - {"recomputed"}
 
 
 def test_benchmark_isolates_surrogate_failures():
