@@ -183,6 +183,7 @@ class CurvedBeamAssembly:
         self._EI = spec.youngs_modulus * spec.inertia
         self._rhoA = spec.density * spec.area
         self._wq = le[:, None] * wg[None, :]  # (n_el, n_g), includes jacobian
+        self._ea_w, self._ei_w = self._EA * self._wq, self._EI * self._wq
 
         h, dh, ddh = _hermite_rows(np.broadcast_to(xi, (n_el, n_g)), le[:, None])  # (n_el, n_g, 4)
         hermite = [1, 2, 4, 5]
@@ -210,12 +211,6 @@ class CurvedBeamAssembly:
     # ------------------------------------------------------------------
     # DOF bookkeeping
     # ------------------------------------------------------------------
-    def embed(self, q_free) -> np.ndarray:
-        q_free = self._check_state(q_free)
-        q_full = np.zeros(self.n_full)
-        q_full[self.free_dofs] = q_free
-        return q_full
-
     def _check_state(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.n,):
@@ -275,23 +270,36 @@ class CurvedBeamAssembly:
         """Tangent stiffness at zero displacement (symmetric positive definite)."""
         return self._k1_full[np.ix_(self.free_dofs, self.free_dofs)].copy()
 
+    @cached_property
+    def _free_edofs(self) -> np.ndarray:
+        """Element DOF table in free-DOF numbering; clamped DOFs map to slot n."""
+        free_number = np.full(self.n_full, self.n)
+        free_number[self.free_dofs] = np.arange(self.n)
+        return free_number[self.edofs]
+
+    @cached_property
+    def _strain_rows(self) -> np.ndarray:
+        """Rows of [w', linear strain, curvature] at the Gauss points, (n_el, 3 n_g, 6)."""
+        return np.concatenate([self._rows_b, self._rows_a, self._rows_c], axis=1)
+
+    def _scatter_free(self, f_el) -> np.ndarray:
+        """Sum element vectors (n_el, 6) into the free DOFs; clamped slots drop."""
+        f = np.bincount(self._free_edofs.ravel(), weights=f_el.ravel(), minlength=self.n + 1)
+        return f[: self.n]
+
     def _element_strains(self, q_free):
-        q_full = self.embed(q_free)
-        q_e = q_full[self.edofs]  # (n_el, 6)
-        wp = np.einsum("egk,ek->eg", self._rows_b, q_e)
-        eps = np.einsum("egk,ek->eg", self._rows_a, q_e) + 0.5 * wp**2
-        kappa = np.einsum("egk,ek->eg", self._rows_c, q_e)
-        return wp, eps, kappa
+        q = np.concatenate([self._check_state(q_free), [0.0]])
+        strains = np.matmul(self._strain_rows, q[self._free_edofs][:, :, None])[:, :, 0]
+        g = _GAUSS_POINTS
+        wp, linear, kappa = strains[:, :g], strains[:, g : 2 * g], strains[:, 2 * g :]
+        return wp, linear + 0.5 * wp**2, kappa
 
     def internal_force(self, q_free) -> np.ndarray:
         """Exact cubic elastic restoring force; zero at the reference state."""
         wp, eps, kappa = self._element_strains(q_free)
-        g_rows = self._rows_a + wp[:, :, None] * self._rows_b
-        f_el = self._EA * np.einsum("eg,eg,egk->ek", self._wq, eps, g_rows)
-        f_el += self._EI * np.einsum("eg,eg,egk->ek", self._wq, kappa, self._rows_c)
-        f_full = np.zeros(self.n_full)
-        np.add.at(f_full, self.edofs.ravel(), f_el.ravel())
-        return f_full[self.free_dofs]
+        axial = self._ea_w * eps
+        resultants = np.concatenate([axial * wp, axial, self._ei_w * kappa], axis=1)
+        return self._scatter_free(np.matmul(resultants[:, None, :], self._strain_rows)[:, 0, :])
 
     def tangent_stiffness(self, q_free) -> np.ndarray:
         """Jacobian of :meth:`internal_force`; exact quadratic in q."""
@@ -336,9 +344,7 @@ def uniform_transverse_pattern(assembly: CurvedBeamAssembly) -> np.ndarray:
     """
     line_load = assembly.spec.width  # N/m per unit pressure
     f_el = line_load * np.einsum("eg,egk->ek", assembly._wq, assembly._rows_nw)
-    f_full = np.zeros(assembly.n_full)
-    np.add.at(f_full, assembly.edofs.ravel(), f_el.ravel())
-    return f_full[assembly.free_dofs]
+    return assembly._scatter_free(f_el)
 
 
 def static_solve(

@@ -36,7 +36,7 @@ def reduced_tensors_direct(assembly: CurvedBeamAssembly, basis: np.ndarray):
 
     a_red = np.einsum("egk,ekm->egm", assembly._rows_a, v_el)
     b_red = np.einsum("egk,ekm->egm", assembly._rows_b, v_el)
-    w = assembly._EA * assembly._wq  # (n_el, n_g)
+    w = assembly._ea_w  # (n_el, n_g)
 
     # quadratic part assembled in symmetric (potential) form
     abb = np.einsum("eg,egi,egj,egk->ijk", w, a_red, b_red, b_red)

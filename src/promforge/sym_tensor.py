@@ -17,7 +17,7 @@ symmetric (m, m) matrix; a force finishes from it with one more mat-vec.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import numpy as np
@@ -47,21 +47,15 @@ def sorted_multi_indices(m: int, order: int) -> np.ndarray:
     return np.array(list(combinations_with_replacement(range(m), order)), dtype=np.int64)
 
 
-def _positions(m: int, idx: np.ndarray) -> np.ndarray:
-    """Unique-entry position of every index tuple along the first axis of `idx`."""
-    order = idx.shape[0]
-    weights = m ** np.arange(order - 1, -1, -1)
-    codes = np.tensordot(weights, np.sort(idx, axis=0), axes=1)
-    # sorted tuples come in lexicographic order, so their base-m codes ascend
-    position = np.searchsorted(sorted_multi_indices(m, order) @ weights, codes)
-    position.setflags(write=False)
-    return position
-
-
 @lru_cache(maxsize=None)
 def unique_position(m: int, order: int) -> np.ndarray:
     """Unique-entry position of every full-tensor index, shaped (m,) * order."""
-    return _positions(m, np.indices((m,) * order))
+    idx = sorted_multi_indices(m, order)
+    position = np.empty((m,) * order, dtype=np.int64)
+    for perm in permutations(range(order)):  # a sorted tuple and its permutations share a rank
+        position[tuple(idx[:, perm].T)] = np.arange(len(idx))
+    position.setflags(write=False)
+    return position
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +75,10 @@ def _pair_gather(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         idx, weight = (a[:, None], b[:, None], np.arange(m)), np.ones(m)
     else:  # columns (k, l), doubled when k < l
         idx, weight = (a[:, None], b[:, None], a, b), 1.0 + (a < b)
-    weight.setflags(write=False)
-    return _positions(m, np.stack(np.broadcast_arrays(*idx))), weight
+    position = unique_position(m, order)[idx]
+    for array in (position, weight):
+        array.setflags(write=False)
+    return position, weight
 
 
 def full_from_unique(values: np.ndarray, m: int, order: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promforge.beam_fe import (
     BeamSpec,
@@ -244,6 +246,48 @@ def test_parity_split_isolates_cubic():
     for a in (2.0, 3.0):
         ga = odd_cubic(a * q)
         assert np.linalg.norm(ga - a**3 * g1) < 1e-11 * np.linalg.norm(ga)
+
+
+def _force_and_tangent_per_element_einsum(asm, q):
+    """Force and tangent from per-element einsums over all DOFs (embed q,
+    contract each strain row set, `np.add.at` into the full vector and
+    matrix): the reference the cached strain gather must match to round-off."""
+    q_full = np.zeros(asm.n_full)
+    q_full[asm.free_dofs] = q
+    q_e = q_full[asm.edofs]
+    wp = np.einsum("egk,ek->eg", asm._rows_b, q_e)
+    eps = np.einsum("egk,ek->eg", asm._rows_a, q_e) + 0.5 * wp**2
+    kappa = np.einsum("egk,ek->eg", asm._rows_c, q_e)
+    g_rows = asm._rows_a + wp[:, :, None] * asm._rows_b
+    f_el = asm._EA * np.einsum("eg,eg,egk->ek", asm._wq, eps, g_rows)
+    f_el += asm._EI * np.einsum("eg,eg,egk->ek", asm._wq, kappa, asm._rows_c)
+    k_el = asm._EA * np.einsum("eg,egi,egj->eij", asm._wq, g_rows, g_rows)
+    k_el += asm._EA * np.einsum("eg,eg,egi,egj->eij", asm._wq, eps, asm._rows_b, asm._rows_b)
+    k_el += asm._EI * np.einsum("eg,egi,egj->eij", asm._wq, asm._rows_c, asm._rows_c)
+    f_full = np.zeros(asm.n_full)
+    np.add.at(f_full, asm.edofs, f_el)
+    k_full = np.zeros((asm.n_full, asm.n_full))
+    np.add.at(k_full, (asm.edofs[:, :, None], asm.edofs[:, None, :]), k_el)
+    free = asm.free_dofs
+    return f_full[free], k_full[np.ix_(free, free)]
+
+
+@given(
+    p1=st.floats(0.0, 3.0),
+    p2=st.floats(-1.0, 1.0),
+    n_el=st.integers(4, 60),
+    scale=st.floats(1e-3, 2.0),  # transverse amplitude in thicknesses, as ED probes reach
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_force_and_tangent_match_per_element_einsum(p1, p2, n_el, scale, seed):
+    asm = make(p1, p2, n_el)
+    q = _random_state(asm, scale, seed)
+    f_ref, k_ref = _force_and_tangent_per_element_einsum(asm, q)
+    f, k = asm.internal_force(q), asm.tangent_stiffness(q)
+    assert f.shape == (asm.n,) and k.shape == (asm.n, asm.n)
+    assert np.linalg.norm(f - f_ref) <= 1e-13 * np.linalg.norm(f_ref)
+    assert np.linalg.norm(k - k_ref) <= 1e-13 * np.linalg.norm(k_ref)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from promforge.sym_tensor import (
     symmetrize,
     tangent_cubic,
     tangent_quadratic,
+    unique_position,
 )
 from promforge.tensor_id import IdentifiedTensors
 
@@ -32,6 +33,25 @@ def test_unique_counts():
     assert n_unique(5, 3) == 35
     assert n_unique(5, 4) == 70
     assert sorted_multi_indices(4, 3).shape == (n_unique(4, 3), 3)
+
+
+def _unique_position_by_sorting(m, order):
+    """Sort every index of the full m**order grid and look its base-m code up
+    among the sorted tuples: the reference the permutation scatter must
+    reproduce bit for bit."""
+    weights = m ** np.arange(order - 1, -1, -1)
+    codes = np.tensordot(weights, np.sort(np.indices((m,) * order), axis=0), axes=1)
+    return np.searchsorted(sorted_multi_indices(m, order) @ weights, codes)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_unique_position_matches_sorted_index_grid(m, order):
+    position = unique_position(m, order)
+    reference = _unique_position_by_sorting(m, order)
+    assert position.dtype == reference.dtype and position.shape == (m,) * order
+    assert position.tobytes() == reference.tobytes()
+    assert not position.flags.writeable
 
 
 @pytest.mark.parametrize("order", [3, 4])
