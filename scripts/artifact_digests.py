@@ -13,6 +13,10 @@ one line per model kind (`bench.hfm`, `bench.interpolated`, ...): the
 digest of that model's stored time and traces at every test point, read
 back from the container.  A change that moves only the reduced models'
 bits then shows that the `hfm` and `linear` histories stayed identical.
+Every workload also prints `prom.evaluate` and `prom.gradient`: the
+digest of `evaluate_prom`'s operators and of `prom_gradient`'s gradients
+at the first 500 points of perfbench's `query_stream(seed)`, so the query
+path is compared at many points, not only at the test points.
 
     PYTHONPATH=src python scripts/artifact_digests.py \
         --workload offline-desk offline-dual-ed online-desk --seeds 0 1 2
@@ -33,9 +37,18 @@ import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import speed  # noqa: E402
-from workloads import CONFIG, WORKLOADS, make_config, offline_pass  # noqa: E402
+from workloads import CONFIG, WORKLOADS, make_config, offline_pass, query_stream  # noqa: E402
 
-from promforge import database, pipeline  # noqa: E402
+from promforge import database, pipeline, rbf  # noqa: E402
+from promforge.errors import PromforgeError  # noqa: E402
+
+N_QUERIES = 500
+
+
+def _update(sha, *arrays) -> None:
+    for array in arrays:
+        sha.update(f"{array.dtype} {array.shape}".encode())
+        sha.update(np.ascontiguousarray(array).tobytes())
 
 
 def model_digests(report: database.BenchmarkReport) -> dict:
@@ -46,11 +59,29 @@ def model_digests(report: database.BenchmarkReport) -> dict:
         for i, per_point in enumerate(report.histories):
             hist = per_point.get(kind)  # a failed model has no history
             sha.update(f"{i} {kind} {hist is not None}".encode())
-            for array in () if hist is None else (hist["time"], hist["traces"]):
-                sha.update(f"{array.dtype} {array.shape}".encode())
-                sha.update(np.ascontiguousarray(array).tobytes())
+            _update(sha, *(() if hist is None else (hist["time"], hist["traces"])))
         digests[f"bench.{kind}"] = sha.hexdigest()
     return digests
+
+
+def query_digests(prom, structure_check: str, seed: int) -> dict:
+    """`prom.evaluate`/`prom.gradient` -> SHA-256 of the operators/gradients
+    at the first N_QUERIES points of the workload's query stream; a query
+    that raises is digested as its error type."""
+    points = query_stream(seed).random((N_QUERIES, prom.centers.shape[1]))
+    evaluate, gradient = hashlib.sha256(), hashlib.sha256()
+    for p in points:
+        try:
+            ops = rbf.evaluate_prom(prom, p, structure_check=structure_check)
+        except PromforgeError as exc:
+            evaluate.update(type(exc).__name__.encode())
+        else:
+            scalars = np.array([ops.alpha, ops.beta])
+            t = ops.tensors
+            _update(evaluate, ops.basis, ops.k1_diag, t.k2_unique, t.k3_unique, scalars, ops.p_hat)
+        grads = rbf.prom_gradient(prom, p)
+        _update(gradient, *(grads[name] for name in rbf.OPERATOR_NAMES))
+    return {"prom.evaluate": evaluate.hexdigest(), "prom.gradient": gradient.hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -67,6 +98,9 @@ def main(argv=None) -> int:
             with tempfile.TemporaryDirectory(prefix="promforge-digests-") as tmp:
                 done = offline_pass(cfg, Path(tmp), speed.Meter())
                 digests = dict(done.digests)
+                digests.update(
+                    query_digests(done.db.prom, cfg.interpolation.structure_check, seed)
+                )
                 if spec["online"]:
                     bench_path = Path(tmp) / "bench.promdb"
                     database.save_report(pipeline.run_benchmark(done.db, cfg), bench_path)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from operator import getitem
 
 import numpy as np
@@ -201,11 +201,17 @@ _HISTORY = {  # per test point and model kind; a failed model has none
 }
 
 
+@lru_cache(maxsize=None)
+def _key_path(key: str, *names) -> tuple:
+    """A table key's path into the nested meta, parsed once per key and names."""
+    return tuple(key.format(*names).split("."))
+
+
 def _encode(table: dict, values, arrays: dict, meta: dict, *names) -> None:
     """Store each field of `values` (a mapping) under its table key."""
     for key, (attr, cast) in table.items():
         value = cast(values[attr])
-        *path, leaf = key.format(*names).split(".")
+        *path, leaf = _key_path(key, *names)
         node = arrays if isinstance(value, np.ndarray) else meta
         for part in path:
             node = node.setdefault(part, {})
@@ -215,7 +221,7 @@ def _encode(table: dict, values, arrays: dict, meta: dict, *names) -> None:
 def _decode(table: dict, entries: dict, *names) -> dict:
     """The fields that `_encode` stored, keyed by field name."""
     return {
-        attr: cast(reduce(getitem, key.format(*names).split("."), entries))
+        attr: cast(reduce(getitem, _key_path(key, *names), entries))
         for key, (attr, cast) in table.items()
     }
 

@@ -55,22 +55,26 @@ class RbfKernel:
             raise ValueError("shape parameter must be positive")
 
 
+def _radial(kind: str, eps, delta, eps_sq=None):
+    """Kernel values at distances delta or, given eps_sq, gamma'(delta)/delta.
+    eps is a scalar or an (n_ops, 1) column, one row per operator; eps_sq holds
+    the Python eps**2 values, so a column row matches the scalar bit for bit."""
+    x2 = (eps * delta) ** 2
+    if eps_sq is None:
+        return 1.0 / np.sqrt(1.0 + x2) if kind == "inverse_multiquadric" else np.exp(-x2)
+    if kind == "inverse_multiquadric":
+        return -eps_sq * (1.0 + x2) ** (-1.5)
+    return -2.0 * eps_sq * np.exp(-x2)
+
+
 def kernel_eval(kernel: RbfKernel, delta):
     """Kernel value at distance delta (vectorized)."""
-    delta = np.asarray(delta, dtype=float)
-    x2 = (kernel.eps * delta) ** 2
-    if kernel.kind == "inverse_multiquadric":
-        return 1.0 / np.sqrt(1.0 + x2)
-    return np.exp(-x2)
+    return _radial(kernel.kind, kernel.eps, np.asarray(delta, dtype=float))
 
 
 def kernel_slope_over_distance(kernel: RbfKernel, delta):
     """gamma'(delta)/delta, smooth through delta = 0 for both kernels."""
-    delta = np.asarray(delta, dtype=float)
-    x2 = (kernel.eps * delta) ** 2
-    if kernel.kind == "inverse_multiquadric":
-        return -(kernel.eps**2) * (1.0 + x2) ** (-1.5)
-    return -2.0 * kernel.eps**2 * np.exp(-x2)
+    return _radial(kernel.kind, kernel.eps, np.asarray(delta, dtype=float), kernel.eps**2)
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,17 +179,31 @@ def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name
 
 @dataclass
 class PromModel:
-    """Per-operator interpolants sharing one set of training centers."""
+    """Per-operator interpolants sharing one set of training centers and one
+    kernel kind; a query forms one kernel row per operator (OPERATOR_NAMES order)."""
 
     centers: np.ndarray
     interpolants: dict  # name -> RbfInterpolant
     n: int
     m: int
+    _kind: str = field(init=False, repr=False, compare=False)
+    _eps: np.ndarray = field(init=False, repr=False, compare=False)  # (n_ops, 1)
+    _eps_sq: np.ndarray = field(init=False, repr=False, compare=False)  # Python eps**2
+    _rows: tuple = field(init=False, repr=False, compare=False)  # (offset, weights)
 
     def __post_init__(self):
         missing = set(OPERATOR_NAMES) - set(self.interpolants)
         if missing:
             raise ValueError(f"missing interpolants for {sorted(missing)}")
+        kind = self.interpolants["k1"].kernel.kind
+        for name, interp in self.interpolants.items():
+            if interp.kernel.kind != kind or not np.array_equal(interp.centers, self.centers):
+                raise ValueError(f"interpolant {name!r} must share k1's kernel kind and the centers")
+        ordered = [self.interpolants[name] for name in OPERATOR_NAMES]
+        self._kind = kind
+        self._eps = np.array([[i.kernel.eps] for i in ordered], dtype=float)
+        self._eps_sq = np.array([[i.kernel.eps**2] for i in ordered], dtype=float)
+        self._rows = tuple((i.offset, i.weights) for i in ordered)
 
 
 @dataclass
@@ -349,7 +367,9 @@ def evaluate_prom(
     checked after interpolation; `structure_check` picks error/warn
     behaviour, and any other value raises ValueError.  Points outside the
     unit hypercube only warn (extrapolation); a point of the wrong shape or
-    with a non-finite coordinate raises ValueError.
+    with a non-finite coordinate raises ValueError.  Every operator comes
+    from one distance vector and one kernel row matrix, bit for bit what
+    the per-operator `RbfInterpolant.evaluate` returns.
     """
     if structure_check not in ("error", "warn"):
         raise ValueError(f"structure_check must be 'error' or 'warn', not {structure_check!r}")
@@ -360,9 +380,10 @@ def evaluate_prom(
             RuntimeWarning,
             stacklevel=2,
         )
-    k1_diag = model.interpolants["k1"].evaluate(p_hat)
-    alpha = float(model.interpolants["alpha"].evaluate(p_hat)[0])
-    beta = float(model.interpolants["beta"].evaluate(p_hat)[0])
+    delta = np.linalg.norm(model.centers - p_hat[None, :], axis=1)
+    phi = _radial(model._kind, model._eps, delta)
+    ops = {name: o + w @ row for name, (o, w), row in zip(OPERATOR_NAMES, model._rows, phi)}
+    k1_diag, alpha, beta = ops["k1"], float(ops["alpha"][0]), float(ops["beta"][0])
 
     problems = []
     if np.any(k1_diag <= 0.0):
@@ -377,25 +398,18 @@ def evaluate_prom(
             raise StructureViolationError(message, details=problems)
         warnings.warn(message, RuntimeWarning, stacklevel=2)
 
-    basis = model.interpolants["v"].evaluate(p_hat).reshape(model.n, model.m)
-    tensors = IdentifiedTensors(
-        m=model.m,
-        k2_unique=model.interpolants["k2"].evaluate(p_hat),
-        k3_unique=model.interpolants["k3"].evaluate(p_hat),
-        method="interpolated",
-    )
+    tensors = IdentifiedTensors(model.m, ops["k2"], ops["k3"], method="interpolated")
     # values pass through as interpolated, including any flagged violations
     return RomOperators(
-        basis=basis,
-        k1_diag=k1_diag,
-        tensors=tensors,
-        alpha=alpha,
-        beta=beta,
-        p_hat=p_hat.copy(),
+        basis=ops["v"].reshape(model.n, model.m), k1_diag=k1_diag, tensors=tensors,
+        alpha=alpha, beta=beta, p_hat=p_hat.copy(),
     )
 
 
 def prom_gradient(model: PromModel, p_hat) -> dict:
     """Analytic d(entries)/d(p_hat) for every operator at one point."""
     p_hat = _query_point(model, p_hat)
-    return {name: interp.gradient(p_hat) for name, interp in model.interpolants.items()}
+    diff = p_hat[None, :] - model.centers  # (n_centers, n_params)
+    delta = np.linalg.norm(diff, axis=1)
+    dgamma = _radial(model._kind, model._eps, delta, model._eps_sq)[:, :, None] * diff
+    return {name: w @ dg for name, (_, w), dg in zip(OPERATOR_NAMES, model._rows, dgamma)}

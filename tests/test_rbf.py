@@ -1,12 +1,16 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promforge.config import RunConfig
 from promforge.errors import IllConditionedError, StructureViolationError
 from promforge.params import lhs_sample
 from promforge.rbf import (
+    KERNEL_KINDS,
     OPERATOR_NAMES,
     PromModel,
     RbfKernel,
@@ -408,3 +412,78 @@ def test_gradient_fd_second_order(synthetic_prom):
 def test_prom_model_requires_all_operators():
     with pytest.raises(ValueError):
         PromModel(centers=np.zeros((1, 2)), interpolants={}, n=2, m=1)
+
+
+def test_prom_model_rejects_mixed_kernel_kinds(synthetic_prom):
+    # one container stores one kernel kind, so a mixed model cannot round-trip
+    model, _, _ = synthetic_prom
+    k3 = model.interpolants["k3"]
+    interpolants = {**model.interpolants, "k3": replace(k3, kernel=RbfKernel("gaussian", 1.2))}
+    with pytest.raises(ValueError, match="kernel kind"):
+        PromModel(centers=model.centers, interpolants=interpolants, n=model.n, m=model.m)
+
+
+@pytest.mark.parametrize("moved", ["value", "shape"])
+def test_prom_model_rejects_interpolants_over_other_centers(synthetic_prom, moved):
+    model, _, _ = synthetic_prom
+    centers = model.centers + 1e-9 if moved == "value" else model.centers[:-1]
+    v = model.interpolants["v"]
+    interpolants = {**model.interpolants, "v": replace(v, centers=centers)}
+    with pytest.raises(ValueError, match="centers"):
+        PromModel(centers=model.centers, interpolants=interpolants, n=model.n, m=model.m)
+
+
+def random_prom(kind, n_centers, n, m, n_params, rng, eps=None):
+    """Random weights and offsets with a distinct shape parameter per operator."""
+    centers = rng.random((n_centers, n_params))
+    sizes = {"k1": m, "k2": n_unique(m, 3), "k3": n_unique(m, 4), "v": n * m, "alpha": 1, "beta": 1}
+    if eps is None:
+        eps = rng.uniform(0.05, 4.0, len(OPERATOR_NAMES))
+    assert len(set(eps)) == len(OPERATOR_NAMES)
+    interpolants = {
+        name: RbfInterpolant(
+            centers=centers,
+            weights=rng.standard_normal((sizes[name], n_centers)),
+            kernel=RbfKernel(kind, float(e)),
+            offset=rng.standard_normal(sizes[name]),
+            name=name,
+        )
+        for name, e in zip(OPERATOR_NAMES, eps)
+    }
+    return PromModel(centers=centers, interpolants=interpolants, n=n, m=m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    n_centers=st.integers(1, 12),
+    n=st.integers(1, 8),
+    m=st.integers(1, 5),
+    n_params=st.integers(1, 3),
+    at_center=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_queries_match_per_operator_interpolants_bit_for_bit(
+    kind, n_centers, n, m, n_params, at_center, seed
+):
+    rng = np.random.default_rng(seed)
+    model = random_prom(kind, n_centers, n, m, n_params, rng)
+    p = model.centers[0].copy() if at_center else rng.random(n_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # random operators lose positivity
+        got = operator_vectors(evaluate_prom(model, p, structure_check="warn"))
+    grads = prom_gradient(model, p)
+    for name, interp in model.interpolants.items():
+        np.testing.assert_array_equal(got[name], interp.evaluate(p), err_msg=name)
+        np.testing.assert_array_equal(grads[name], interp.gradient(p), err_msg=name)
+
+
+# Python's eps**2 and numpy's eps*eps round these shape parameters differently
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_fused_gradient_squares_each_eps_as_its_interpolant_does(kind):
+    eps = [2.4873978899835185, 3.2151376404906955, 3.6426830623324653, 0.5, 1.5, 2.5]
+    model = random_prom(kind, 7, 4, 3, 2, np.random.default_rng(3), eps=eps)
+    p = np.array([0.3, 0.8])
+    grads = prom_gradient(model, p)
+    for name, interp in model.interpolants.items():
+        np.testing.assert_array_equal(grads[name], interp.gradient(p), err_msg=name)
