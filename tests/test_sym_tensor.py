@@ -186,12 +186,22 @@ def tensor_and_eta(draw):
     return unique, full_from_unique(unique, m, order), eta
 
 
+def _underflow(tensor):
+    """Absolute rounding error that underflow can add to a contraction of
+    `tensor`. A product or sum whose result is subnormal may be off by up to
+    half the subnormal spacing, however small its relative scale is; an eta
+    product is then scaled by its tensor entry, and no entry of the result
+    takes more than tensor.size further such steps."""
+    return (np.sum(np.abs(tensor)) + tensor.size) * np.finfo(float).smallest_subnormal
+
+
 def _einsum_check(got, spec, tensor, eta):
-    """`got` equals the einsum contraction to 1e-12 of its absolute-value scale."""
+    """`got` equals the einsum contraction to 1e-12 of its absolute-value
+    scale, plus the error underflow can add."""
     etas = [eta] * spec.count(",")
     ref = np.einsum(spec, tensor, *etas)
     scale = np.max(np.einsum(spec, np.abs(tensor), *[np.abs(eta)] * len(etas)), initial=0.0)
-    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale + _underflow(tensor)
 
 
 @given(tensor_and_eta())
@@ -208,9 +218,10 @@ def test_tangent_is_symmetric_and_satisfies_euler_identity(case):
     unique, tensor, eta = case
     force, tangent = _pair_form(unique, tensor, eta)
     scale = np.max(np.abs(tensor), initial=0.0) * np.sum(np.abs(eta)) ** (tensor.ndim - 2)
-    np.testing.assert_allclose(tangent, tangent.T, rtol=0.0, atol=1e-12 * scale)
+    tiny = _underflow(tensor)
+    np.testing.assert_allclose(tangent, tangent.T, rtol=0.0, atol=1e-12 * scale + tiny)
     np.testing.assert_allclose(
-        tangent @ eta, force, rtol=0.0, atol=1e-12 * scale * np.sum(np.abs(eta))
+        tangent @ eta, force, rtol=0.0, atol=1e-12 * scale * np.sum(np.abs(eta)) + tiny
     )
 
 
@@ -274,7 +285,8 @@ def _check_pair_form(m, seed, eta):
     np.testing.assert_array_equal(jac, jac.T)
     linear = ops.k1_diag * eta
     scale = np.max(np.abs(linear) + 2.0 * bounds[0] + 3.0 * bounds[1])
-    assert np.max(np.abs(jac @ eta - (linear + 2.0 * forces[0] + 3.0 * forces[1]))) <= 1e-12 * scale
+    euler_defect = np.max(np.abs(jac @ eta - (linear + 2.0 * forces[0] + 3.0 * forces[1])))
+    assert euler_defect <= 1e-12 * scale + 2.0 * _underflow(k2) + 3.0 * _underflow(k3)
 
     for width in (m - 1, m + 1):
         for fn in (reduced_force, reduced_tangent):
