@@ -85,7 +85,7 @@ def write_container(path, kind: str, meta: dict, arrays: dict) -> None:
 def read_container(path):
     """Read and verify a container; returns (kind, meta, arrays) or raises CorruptFileError."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())  # slices share the file bytes
     if len(data) < len(_MAGIC) + 8 or data[: len(_MAGIC)] != _MAGIC:
         raise CorruptFileError(f"{path}: not a promforge container (bad magic)")
     n = int.from_bytes(data[len(_MAGIC) : len(_MAGIC) + 8], "little")
@@ -96,7 +96,7 @@ def read_container(path):
     arrays = {}
     # UnicodeDecodeError and JSONDecodeError are ValueErrors
     try:
-        manifest = json.loads(data[start : start + n].decode("utf-8"))
+        manifest = json.loads(str(data[start : start + n], "utf-8"))
         version, kind, digest, table, meta = (manifest[key] for key in _MANIFEST_KEYS)
         if version != _FORMAT_VERSION:
             raise FormatVersionError(
@@ -106,9 +106,9 @@ def read_container(path):
             raise CorruptFileError(f"{path}: payload checksum mismatch")
         for entry in table:
             lo, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
-            if lo < 0 or nbytes != 8 * math.prod(shape) or lo + nbytes > len(payload):
+            if lo < 0 or nbytes < 0 or nbytes != 8 * math.prod(shape) or lo + nbytes > len(payload):
                 raise ValueError(f"array {entry['name']!r} does not fit the payload")
-            arr = np.frombuffer(payload[lo : lo + nbytes], dtype=_DTYPES[entry["dtype"]])
+            arr = np.frombuffer(data, _DTYPES[entry["dtype"]], nbytes // 8, start + n + lo)
             arrays[entry["name"]] = arr.reshape(shape).copy()
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: malformed container: {exc!r}") from exc

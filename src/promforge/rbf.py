@@ -89,6 +89,8 @@ class RbfInterpolant:
     The training data is mean-centered before the kernel solve; the offset
     is restored at evaluation.  Without this, constant-dominated operator
     entries force enormous oscillating weights out of near-flat kernels.
+    The weights are stored column-major: a row holds only a few centers, so
+    `weights @ row` streams whole center columns instead of many tiny rows.
     """
 
     centers: np.ndarray  # (n_centers, n_params)
@@ -99,17 +101,22 @@ class RbfInterpolant:
     condition: float = 0.0
 
     def __post_init__(self):
+        self.weights = np.asfortranarray(self.weights, dtype=float)
         if self.offset is None:
             self.offset = np.zeros(self.weights.shape[0])
+        if self.weights.ndim != 2 or self.weights.shape[1] != len(self.centers):
+            raise ValueError(f"weights {self.weights.shape} need one column per center")
+        if np.shape(self.offset) != self.weights.shape[:1]:
+            raise ValueError(f"offset {np.shape(self.offset)} needs one entry per weight row")
 
     def evaluate(self, p_hat) -> np.ndarray:
-        p_hat = np.asarray(p_hat, dtype=float)
+        p_hat = _query_point(self.centers, p_hat)
         delta = np.linalg.norm(self.centers - p_hat[None, :], axis=1)
         return self.offset + self.weights @ kernel_eval(self.kernel, delta)
 
     def gradient(self, p_hat) -> np.ndarray:
         """(n_entries, n_params) derivative of every entry at p_hat."""
-        p_hat = np.asarray(p_hat, dtype=float)
+        p_hat = _query_point(self.centers, p_hat)
         diff = p_hat[None, :] - self.centers  # (n_centers, n_params)
         delta = np.linalg.norm(diff, axis=1)
         dgamma = kernel_slope_over_distance(self.kernel, delta)[:, None] * diff
@@ -343,10 +350,10 @@ def validate_eps(
     )
 
 
-def _query_point(model: PromModel, p_hat) -> np.ndarray:
+def _query_point(centers: np.ndarray, p_hat) -> np.ndarray:
     """A finite parameter point with one coordinate per center dimension."""
     p_hat = np.asarray(p_hat, dtype=float)
-    n_params = model.centers.shape[1]
+    n_params = centers.shape[1]
     if p_hat.shape != (n_params,):
         raise ValueError(f"parameter point must have shape ({n_params},), got {p_hat.shape}")
     if not np.isfinite(p_hat).all():
@@ -373,20 +380,20 @@ def evaluate_prom(
     """
     if structure_check not in ("error", "warn"):
         raise ValueError(f"structure_check must be 'error' or 'warn', not {structure_check!r}")
-    p_hat = _query_point(model, p_hat)
+    p_hat = _query_point(model.centers, p_hat)
     if any(x < -1e-12 or x > 1.0 + 1e-12 for x in p_hat.tolist()):
         warnings.warn(
             f"evaluating outside the unit hypercube at {p_hat}: extrapolation",
             RuntimeWarning,
             stacklevel=2,
         )
-    delta = np.linalg.norm(model.centers - p_hat[None, :], axis=1)
-    phi = _radial(model._kind, model._eps, delta)
-    ops = {name: o + w @ row for name, (o, w), row in zip(OPERATOR_NAMES, model._rows, phi)}
-    k1_diag, alpha, beta = ops["k1"], float(ops["alpha"][0]), float(ops["beta"][0])
+    d = model.centers - p_hat
+    phi = _radial(model._kind, model._eps, np.sqrt(np.add.reduce(d * d, axis=1)))
+    k1_diag, k2, k3, v, alpha, beta = [o + w @ row for (o, w), row in zip(model._rows, phi)]
+    alpha, beta = float(alpha[0]), float(beta[0])
 
     problems = []
-    if np.any(k1_diag <= 0.0):
+    if (k1_diag <= 0.0).any():
         problems.append(f"non-positive stiffness diagonal entries at {p_hat}")
     if alpha <= 0.0:
         problems.append(f"non-positive mass damping coefficient {alpha:.4g}")
@@ -398,18 +405,18 @@ def evaluate_prom(
             raise StructureViolationError(message, details=problems)
         warnings.warn(message, RuntimeWarning, stacklevel=2)
 
-    tensors = IdentifiedTensors(model.m, ops["k2"], ops["k3"], method="interpolated")
+    tensors = IdentifiedTensors(model.m, k2, k3, method="interpolated")
     # values pass through as interpolated, including any flagged violations
     return RomOperators(
-        basis=ops["v"].reshape(model.n, model.m), k1_diag=k1_diag, tensors=tensors,
+        basis=v.reshape(model.n, model.m), k1_diag=k1_diag, tensors=tensors,
         alpha=alpha, beta=beta, p_hat=p_hat.copy(),
     )
 
 
 def prom_gradient(model: PromModel, p_hat) -> dict:
     """Analytic d(entries)/d(p_hat) for every operator at one point."""
-    p_hat = _query_point(model, p_hat)
-    diff = p_hat[None, :] - model.centers  # (n_centers, n_params)
-    delta = np.linalg.norm(diff, axis=1)
+    p_hat = _query_point(model.centers, p_hat)
+    diff = p_hat - model.centers  # (n_centers, n_params)
+    delta = np.sqrt(np.add.reduce(diff * diff, axis=1))
     dgamma = _radial(model._kind, model._eps, delta, model._eps_sq)[:, :, None] * diff
     return {name: w @ dg for name, (_, w), dg in zip(OPERATOR_NAMES, model._rows, dgamma)}

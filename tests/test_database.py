@@ -57,6 +57,18 @@ def test_container_round_trip(tmp_path):
     assert arrays2["b"].dtype == np.int64
 
 
+def test_loaded_arrays_are_writeable_copies(tmp_path):
+    path = tmp_path / "x.bin"
+    write_container(path, "k", {}, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(4)})
+    _, _, first = read_container(path)
+    for arr in first.values():
+        assert arr.flags.writeable and arr.flags.owndata
+        arr[...] = -1
+    _, _, second = read_container(path)
+    np.testing.assert_array_equal(second["a"], np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(second["b"], np.arange(4))
+
+
 def test_container_write_is_deterministic(tmp_path):
     arrays = {"z": np.linspace(0, 1, 7), "a": np.eye(3)}
     meta = {"b": 1, "a": 2}
@@ -134,10 +146,24 @@ def test_database_round_trip_exact_values(tmp_path, small_db):
     # surrogate weights round-trip exactly
     for name, interp in db.prom.interpolants.items():
         np.testing.assert_array_equal(back.prom.interpolants[name].weights, interp.weights)
+        assert back.prom.interpolants[name].weights.flags.f_contiguous
         np.testing.assert_array_equal(back.prom.interpolants[name].offset, interp.offset)
         assert back.prom.interpolants[name].kernel == interp.kernel
     np.testing.assert_array_equal(back.validation.eps_grid, db.validation.eps_grid)
     assert back.validation.selected == db.validation.selected
+
+
+def test_prom_bytes_do_not_depend_on_weight_layout(tmp_path, small_db):
+    db, _ = small_db
+    fortran, c_order = tmp_path / "f.promdb", tmp_path / "c.promdb"
+    save_database(db, fortran)
+    c_db = load_database(fortran)
+    for interp in c_db.prom.interpolants.values():
+        # bypasses the constructor, which would store the weights column-major again
+        interp.weights = np.ascontiguousarray(interp.weights)
+    assert not c_db.prom.interpolants["k3"].weights.flags.f_contiguous
+    save_database(c_db, c_order)
+    assert fortran.read_bytes() == c_order.read_bytes()
 
 
 def test_database_wrong_kind_rejected(tmp_path, small_db):
@@ -210,6 +236,11 @@ def _drop_k1_diags(path):
         pytest.param(lambda p: _rewrite_manifest(p, _edit_first_entry(shape=[1])), id="shape"),
         pytest.param(lambda p: _rewrite_manifest(p, _edit_first_entry(dtype="float32")), id="dtype"),
         pytest.param(lambda p: _rewrite_manifest(p, _edit_first_entry(offset=-8)), id="offset"),
+        # a negative count makes np.frombuffer read the rest of the payload
+        pytest.param(
+            lambda p: _rewrite_manifest(p, _edit_first_entry(shape=[-1], nbytes=-8)),
+            id="negative-size",
+        ),
         pytest.param(
             lambda p: _rewrite_manifest(p, lambda m: {k: v for k, v in m.items() if k != "meta"}),
             id="missing-key",

@@ -188,8 +188,18 @@ def test_prom_warns_on_extrapolation(synthetic_prom, point, outside):
     assert bool(warned) == outside
 
 
+def interpolant_evaluate(model, p_hat):
+    return model.interpolants["k2"].evaluate(p_hat)
+
+
+def interpolant_gradient(model, p_hat):
+    return model.interpolants["k2"].gradient(p_hat)
+
+
 @pytest.mark.parametrize("point", [[0.4], [0.4, 0.5, 0.6], [np.nan, 0.5], [0.4, np.inf]])
-@pytest.mark.parametrize("query", [evaluate_prom, prom_gradient])
+@pytest.mark.parametrize(
+    "query", [evaluate_prom, prom_gradient, interpolant_evaluate, interpolant_gradient]
+)
 def test_prom_queries_reject_malformed_points(synthetic_prom, query, point):
     # a 1-element point used to broadcast; a NaN point passed the positivity check
     model, _, _ = synthetic_prom
@@ -409,6 +419,33 @@ def test_gradient_fd_second_order(synthetic_prom):
     assert np.all((ratios > 3.5) & (ratios < 4.5))
 
 
+@pytest.mark.parametrize(
+    "weights, offset, match",
+    [
+        pytest.param(np.ones((3, 4)), None, "one column per center", id="extra-column"),
+        pytest.param(np.ones((3, 2)), None, "one column per center", id="missing-column"),
+        pytest.param(np.ones(3), None, "one column per center", id="vector"),
+        pytest.param(np.ones((3, 3)), np.ones(2), "one entry per weight row", id="short-offset"),
+        pytest.param(np.ones((3, 3)), np.ones((3, 1)), "one entry per weight row", id="column-offset"),
+    ],
+)
+def test_interpolant_rejects_malformed_weights(weights, offset, match):
+    with pytest.raises(ValueError, match=match):
+        RbfInterpolant(np.eye(3, 2), weights, RbfKernel(), offset=offset)
+
+
+def test_weights_are_column_major_however_built(synthetic_prom):
+    model, _, train = synthetic_prom
+    fitted = fit_weights(np.arange(36.0).reshape(3, 12), train, RbfKernel())
+    direct = RbfInterpolant(train, np.ones((5, 12)), RbfKernel())
+    for interp in (fitted, direct, *model.interpolants.values()):
+        assert interp.weights.flags.f_contiguous
+    # the fused query reads the interpolants' own arrays, not copies
+    for name, (offset, weights) in zip(OPERATOR_NAMES, model._rows):
+        assert weights is model.interpolants[name].weights
+        assert offset is model.interpolants[name].offset
+
+
 def test_prom_model_requires_all_operators():
     with pytest.raises(ValueError):
         PromModel(centers=np.zeros((1, 2)), interpolants={}, n=2, m=1)
@@ -426,9 +463,12 @@ def test_prom_model_rejects_mixed_kernel_kinds(synthetic_prom):
 @pytest.mark.parametrize("moved", ["value", "shape"])
 def test_prom_model_rejects_interpolants_over_other_centers(synthetic_prom, moved):
     model, _, _ = synthetic_prom
-    centers = model.centers + 1e-9 if moved == "value" else model.centers[:-1]
     v = model.interpolants["v"]
-    interpolants = {**model.interpolants, "v": replace(v, centers=centers)}
+    if moved == "value":
+        moved_v = replace(v, centers=model.centers + 1e-9)
+    else:  # a well-formed interpolant over one center fewer
+        moved_v = replace(v, centers=model.centers[:-1], weights=v.weights[:, :-1])
+    interpolants = {**model.interpolants, "v": moved_v}
     with pytest.raises(ValueError, match="centers"):
         PromModel(centers=model.centers, interpolants=interpolants, n=model.n, m=model.m)
 
