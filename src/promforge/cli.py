@@ -121,8 +121,8 @@ def cmd_inspect(args) -> int:
         print(f"  tensor identification: {db.roms[0].tensors.method}")
         print(f"  evaluations per sample: {db.counters['identification_evaluations']}")
         if db.prom is not None:
-            eps = {k: round(v.kernel.eps, 6) for k, v in sorted(db.prom.interpolants.items())}
-            print(f"  surrogate: {db.prom.interpolants['k1'].kernel.kind}, eps {eps}")
+            eps = {k: round(v, 6) for k, v in sorted(db.prom.eps.items())}
+            print(f"  surrogate: {db.prom.kind}, eps {eps}")
     elif kind == "benchmark_report":
         report = load_report(args.path)
         print(f"  test points: {report.n_points}, monitors: {report.monitors}")

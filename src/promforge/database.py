@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CorruptFileError, FormatVersionError
 from .global_basis import GlobalBasis
-from .rbf import OPERATOR_NAMES, PromModel, RbfInterpolant, RbfKernel, ValidationReport
+from .rbf import OPERATOR_NAMES, PromModel, ValidationReport
 from .rom import RomOperators
 from .tensor_id import IdentifiedTensors
 
@@ -281,10 +281,10 @@ def save_database(db: RomDatabase, path) -> None:
     _encode_rows(_ROM_ROWS, [vars(r) for r in db.roms], arrays)
     _encode_rows(_TENSOR_ROWS, [vars(r.tensors) for r in db.roms], arrays)
     if db.prom is not None:
-        _encode(_PROM, {**vars(db.prom), **vars(db.prom.interpolants["k1"].kernel)}, arrays, meta)
+        _encode(_PROM, vars(db.prom), arrays, meta)
         for name in OPERATOR_NAMES:
-            interp = db.prom.interpolants[name]
-            _encode(_PROM_OPERATOR, {**vars(interp), **vars(interp.kernel)}, arrays, meta, name)
+            fitted = {attr: getattr(db.prom, attr)[name] for attr, _ in _PROM_OPERATOR.values()}
+            _encode(_PROM_OPERATOR, fitted, arrays, meta, name)
     if db.validation is not None:
         _encode(_VALIDATION, vars(db.validation), arrays, meta)
         for name in OPERATOR_NAMES:
@@ -309,14 +309,12 @@ def _decode_database(entries: dict) -> RomDatabase:
         **fields,
     )
     if has_prom:
-        prom = _decode(_PROM, entries)
-        kernel_kind = prom.pop("kind")
-        interpolants = {}
-        for name in OPERATOR_NAMES:
-            op = _decode(_PROM_OPERATOR, entries, name)
-            kernel = RbfKernel(kernel_kind, op.pop("eps"))
-            interpolants[name] = RbfInterpolant(prom["centers"], kernel=kernel, name=name, **op)
-        db.prom = PromModel(interpolants=interpolants, **prom)
+        fitted = {name: _decode(_PROM_OPERATOR, entries, name) for name in OPERATOR_NAMES}
+        per_operator = {
+            attr: {name: fitted[name][attr] for name in OPERATOR_NAMES}
+            for attr, _ in _PROM_OPERATOR.values()
+        }
+        db.prom = PromModel(**_decode(_PROM, entries), **per_operator)
     if has_validation:
         curves = {n: _decode(_VALIDATION_OPERATOR, entries, n)["curve"] for n in OPERATOR_NAMES}
         db.validation = ValidationReport(curves=curves, **_decode(_VALIDATION, entries))

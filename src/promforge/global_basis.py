@@ -17,6 +17,7 @@ import scipy.linalg as sla
 
 from .errors import DegenerateSnapshotsError, DuplicateAssignmentError
 from .modes import CompanionSet, ModeSet, fix_signs
+from .params import pairwise_distances
 
 __all__ = [
     "SnapshotMatrices",
@@ -247,10 +248,7 @@ def reorder_local_bases(
     }
 
     while unordered:
-        dist = np.linalg.norm(
-            pts[np.asarray(unordered)][:, None, :] - pts[np.asarray(ordered)][None, :, :],
-            axis=2,
-        )
+        dist = pairwise_distances(pts[np.asarray(unordered)], pts[np.asarray(ordered)])
         flat = int(np.argmin(dist))
         i_new = unordered[flat // len(ordered)]
         j_ref = ordered[flat % len(ordered)]

@@ -201,7 +201,6 @@ def compute_dual_modes(
                 )
 
     residuals = []
-    labels = []
     for label, v in directions:
         wmax = np.max(np.abs(v[assembly.transverse_mask]))
         if wmax == 0.0:
@@ -211,12 +210,10 @@ def compute_dual_modes(
             q_lin = sign * s * v
             q_star = solver(assembly, k1 @ q_lin, q0=q_lin)
             residuals.append(q_star - q_lin)
-            labels.append((label, sign))
 
     snapshots = np.column_stack(residuals)
     norms = np.linalg.norm(snapshots, axis=0)
-    ref = np.max(np.abs(scale_thickness * t))
-    keep = norms > 1e-12 * ref
+    keep = norms > 1e-12 * (scale_thickness * t)
     if not np.any(keep):
         raise DegenerateSnapshotsError(
             "all dual-mode residuals are zero: the model responded linearly"

@@ -12,6 +12,7 @@ __all__ = [
     "normalize",
     "denormalize",
     "lhs_sample",
+    "pairwise_distances",
 ]
 
 
@@ -48,8 +49,7 @@ class SampleSet:
         if np.any(pts < -1e-12) or np.any(pts > 1 + 1e-12):
             raise ValueError("sample points must lie in the unit hypercube")
         if pts.shape[0] > 1:
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.sqrt((diff**2).sum(axis=2))
+            d = pairwise_distances(pts, pts)
             d[np.diag_indices(pts.shape[0])] = np.inf
             if d.min() == 0.0:
                 raise ValueError("sample points must be pairwise distinct")
@@ -57,6 +57,12 @@ class SampleSet:
 
     def __len__(self):
         return self.points.shape[0]
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between the rows of a and b."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=2))
 
 
 def normalize(p, bounds: ParamBounds) -> np.ndarray:
@@ -104,9 +110,7 @@ def lhs_sample(n_points: int, n_dims: int, seed: int) -> SampleSet:
         if n_points == 1:
             score = np.inf
         else:
-            diff = design[:, None, :] - design[None, :, :]
-            d2 = np.sqrt((diff**2).sum(axis=2))
-            score = d2[np.triu_indices(n_points, k=1)].min()
+            score = pairwise_distances(design, design)[np.triu_indices(n_points, k=1)].min()
         if score > best_score:
             best_score = score
             best = design

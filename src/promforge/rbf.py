@@ -1,10 +1,11 @@
 """Radial basis function interpolation of reduced-model operators.
 
 Every operator entry is a scalar function of the normalized parameter
-point; one shared kernel matrix factorization per shape parameter serves
-all entries of an operator.  Evaluation reassembles the interpolated
-entries into structure-checked reduced operators, and parameter gradients
-come from differentiating the kernel analytically.
+point; one kernel matrix factorization per shape parameter serves every
+entry of every operator that selected it.  `PromModel` is the surrogate:
+evaluation reassembles the interpolated entries into structure-checked
+reduced operators, and parameter gradients come from differentiating the
+kernel analytically.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditionedError, StructureViolationError
+from .params import pairwise_distances
 from .rom import RomOperators
 from .tensor_id import IdentifiedTensors
 
 __all__ = [
     "RbfKernel",
-    "RbfInterpolant",
     "PromModel",
     "ValidationReport",
     "kernel_eval",
-    "kernel_slope_over_distance",
     "fit_weights",
     "fit_prom_interpolants",
     "evaluate_prom",
@@ -72,57 +72,6 @@ def kernel_eval(kernel: RbfKernel, delta):
     return _radial(kernel.kind, kernel.eps, np.asarray(delta, dtype=float))
 
 
-def kernel_slope_over_distance(kernel: RbfKernel, delta):
-    """gamma'(delta)/delta, smooth through delta = 0 for both kernels."""
-    return _radial(kernel.kind, kernel.eps, np.asarray(delta, dtype=float), kernel.eps**2)
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=2))
-
-
-@dataclass
-class RbfInterpolant:
-    """Weights of one operator's entries over shared centers.
-
-    The training data is mean-centered before the kernel solve; the offset
-    is restored at evaluation.  Without this, constant-dominated operator
-    entries force enormous oscillating weights out of near-flat kernels.
-    The weights are stored column-major: a row holds only a few centers, so
-    `weights @ row` streams whole center columns instead of many tiny rows.
-    """
-
-    centers: np.ndarray  # (n_centers, n_params)
-    weights: np.ndarray  # (n_entries, n_centers)
-    kernel: RbfKernel
-    offset: np.ndarray = None  # (n_entries,) training mean
-    name: str = ""
-    condition: float = 0.0
-
-    def __post_init__(self):
-        self.weights = np.asfortranarray(self.weights, dtype=float)
-        if self.offset is None:
-            self.offset = np.zeros(self.weights.shape[0])
-        if self.weights.ndim != 2 or self.weights.shape[1] != len(self.centers):
-            raise ValueError(f"weights {self.weights.shape} need one column per center")
-        if np.shape(self.offset) != self.weights.shape[:1]:
-            raise ValueError(f"offset {np.shape(self.offset)} needs one entry per weight row")
-
-    def evaluate(self, p_hat) -> np.ndarray:
-        p_hat = _query_point(self.centers, p_hat)
-        delta = np.linalg.norm(self.centers - p_hat[None, :], axis=1)
-        return self.offset + self.weights @ kernel_eval(self.kernel, delta)
-
-    def gradient(self, p_hat) -> np.ndarray:
-        """(n_entries, n_params) derivative of every entry at p_hat."""
-        p_hat = _query_point(self.centers, p_hat)
-        diff = p_hat[None, :] - self.centers  # (n_centers, n_params)
-        delta = np.linalg.norm(diff, axis=1)
-        dgamma = kernel_slope_over_distance(self.kernel, delta)[:, None] * diff
-        return self.weights @ dgamma
-
-
 def _factor_kernel(centers: np.ndarray, kernel: RbfKernel):
     """Kernel matrix over the centers, its condition number and LU factors.
 
@@ -130,7 +79,7 @@ def _factor_kernel(centers: np.ndarray, kernel: RbfKernel):
     matrix raises.
     """
     n_centers = centers.shape[0]
-    d = _pairwise_distances(centers, centers)
+    d = pairwise_distances(centers, centers)
     if n_centers > 1 and np.min(d[~np.eye(n_centers, dtype=bool)]) == 0.0:
         raise ValueError("centers must be pairwise distinct")
     gamma = kernel_eval(kernel, d)
@@ -163,54 +112,65 @@ def _solve_rows(factors, gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return solution
 
 
-def fit_weights(values: np.ndarray, centers: np.ndarray, kernel: RbfKernel, name: str = "") -> RbfInterpolant:
-    """Solve the kernel system for the weight matrix of one operator.
+def fit_weights(values: np.ndarray, gamma: np.ndarray, factors) -> tuple:
+    """(offset, weights) of one operator from a factored kernel matrix.
 
-    `values` holds one column per center.  A single factorization of the
-    symmetric kernel matrix serves all entry rows; two refinement passes
-    keep the interpolation property at round-off.  Conditioning above 1e12
-    warns with shape-parameter guidance; a singular matrix raises.
+    `values` holds one column per center.  The training data is
+    mean-centered before the solve and the mean is the offset: without it,
+    constant-dominated operator entries force enormous oscillating weights
+    out of near-flat kernels.  Two refinement passes keep the interpolation
+    property at round-off.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if values.shape[1] != centers.shape[0]:
+    if values.shape[1] != gamma.shape[0]:
         raise ValueError("one value column per center required")
-    gamma, factors, cond = _factor_kernel(centers, kernel)
     offset = np.mean(values, axis=1)
-    weights = _solve_rows(factors, gamma, values - offset[:, None])
-    return RbfInterpolant(
-        centers=centers, weights=weights, kernel=kernel, offset=offset, name=name,
-        condition=cond,
-    )
+    return offset, _solve_rows(factors, gamma, values - offset[:, None])
 
 
 @dataclass
 class PromModel:
-    """Per-operator interpolants sharing one set of training centers and one
-    kernel kind; a query forms one kernel row per operator (OPERATOR_NAMES order)."""
+    """The RBF surrogate of every reduced operator over one set of centers.
 
-    centers: np.ndarray
-    interpolants: dict  # name -> RbfInterpolant
+    The centers and the kernel kind are shared; `eps`, `offset`, `weights`
+    and `condition` map each operator name to its shape parameter, training
+    mean, (n_entries, n_centers) weights and kernel matrix condition.  The
+    weights are stored column-major: a row holds only a few centers, so
+    `weights @ row` streams whole center columns instead of many tiny rows.
+    A query forms one kernel row per operator (OPERATOR_NAMES order).
+    """
+
+    centers: np.ndarray  # (n_centers, n_params)
+    kind: str
+    eps: dict
+    offset: dict
+    weights: dict
+    condition: dict
     n: int
     m: int
-    _kind: str = field(init=False, repr=False, compare=False)
     _eps: np.ndarray = field(init=False, repr=False, compare=False)  # (n_ops, 1)
     _eps_sq: np.ndarray = field(init=False, repr=False, compare=False)  # Python eps**2
     _rows: tuple = field(init=False, repr=False, compare=False)  # (offset, weights)
 
     def __post_init__(self):
-        missing = set(OPERATOR_NAMES) - set(self.interpolants)
-        if missing:
-            raise ValueError(f"missing interpolants for {sorted(missing)}")
-        kind = self.interpolants["k1"].kernel.kind
-        for name, interp in self.interpolants.items():
-            if interp.kernel.kind != kind or not np.array_equal(interp.centers, self.centers):
-                raise ValueError(f"interpolant {name!r} must share k1's kernel kind and the centers")
-        ordered = [self.interpolants[name] for name in OPERATOR_NAMES]
-        self._kind = kind
-        self._eps = np.array([[i.kernel.eps] for i in ordered], dtype=float)
-        self._eps_sq = np.array([[i.kernel.eps**2] for i in ordered], dtype=float)
-        self._rows = tuple((i.offset, i.weights) for i in ordered)
+        for fitted in (self.eps, self.offset, self.weights, self.condition):
+            missing = set(OPERATOR_NAMES) - set(fitted)
+            if missing:
+                raise ValueError(f"missing operators {sorted(missing)}")
+        self.weights = {
+            name: np.asfortranarray(self.weights[name], dtype=float) for name in OPERATOR_NAMES
+        }
+        for name, weights in self.weights.items():
+            RbfKernel(self.kind, self.eps[name])  # rejects an unknown kind or eps <= 0
+            if weights.ndim != 2 or weights.shape[1] != len(self.centers):
+                raise ValueError(f"{name} weights {weights.shape} need one column per center")
+            if np.shape(self.offset[name]) != weights.shape[:1]:
+                raise ValueError(
+                    f"{name} offset {np.shape(self.offset[name])} needs one entry per weight row"
+                )
+        self._eps = np.array([[self.eps[name]] for name in OPERATOR_NAMES], dtype=float)
+        self._eps_sq = np.array([[self.eps[name] ** 2] for name in OPERATOR_NAMES], dtype=float)
+        self._rows = tuple((self.offset[name], self.weights[name]) for name in OPERATOR_NAMES)
 
 
 @dataclass
@@ -255,16 +215,20 @@ def fit_prom_interpolants(
     kernel_kind: str,
     eps_by_operator: dict,
 ) -> PromModel:
-    """Final per-operator weight fit at the chosen shape parameters."""
-    n, m = rom_list[0].n, rom_list[0].m
+    """Final per-operator weight fit at the chosen shape parameters; the
+    kernel matrix is factored once per distinct shape parameter."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     tables = operator_tables(rom_list)
-    interpolants = {
-        name: fit_weights(
-            tables[name], centers, RbfKernel(kernel_kind, eps_by_operator[name]), name
-        )
-        for name in OPERATOR_NAMES
-    }
-    return PromModel(centers=np.asarray(centers, dtype=float), interpolants=interpolants, n=n, m=m)
+    eps = {name: float(eps_by_operator[name]) for name in OPERATOR_NAMES}
+    factored, offset, weights, condition = {}, {}, {}, {}
+    for name in OPERATOR_NAMES:
+        if eps[name] not in factored:
+            factored[eps[name]] = _factor_kernel(centers, RbfKernel(kernel_kind, eps[name]))
+        gamma, factors, condition[name] = factored[eps[name]]
+        offset[name], weights[name] = fit_weights(tables[name], gamma, factors)
+    return PromModel(
+        centers, kernel_kind, eps, offset, weights, condition, rom_list[0].n, rom_list[0].m
+    )
 
 
 def validate_eps(
@@ -315,7 +279,7 @@ def validate_eps(
         deviations[name] = table[:, :n_train] - offsets[name][:, None]
         exact[name] = table[:, n_train:]
         exact_norms[name] = np.maximum(np.linalg.norm(exact[name], axis=0), 1e-300)
-    val_distances = _pairwise_distances(val_centers, train_centers)
+    val_distances = pairwise_distances(val_centers, train_centers)
 
     curves = {name: np.full(eps_grid.size, np.inf) for name in OPERATOR_NAMES}
     with warnings.catch_warnings():
@@ -376,7 +340,7 @@ def evaluate_prom(
     unit hypercube only warn (extrapolation); a point of the wrong shape or
     with a non-finite coordinate raises ValueError.  Every operator comes
     from one distance vector and one kernel row matrix, bit for bit what
-    the per-operator `RbfInterpolant.evaluate` returns.
+    offset + weights @ kernel row gives for each operator on its own.
     """
     if structure_check not in ("error", "warn"):
         raise ValueError(f"structure_check must be 'error' or 'warn', not {structure_check!r}")
@@ -388,7 +352,7 @@ def evaluate_prom(
             stacklevel=2,
         )
     d = model.centers - p_hat
-    phi = _radial(model._kind, model._eps, np.sqrt(np.add.reduce(d * d, axis=1)))
+    phi = _radial(model.kind, model._eps, np.sqrt(np.add.reduce(d * d, axis=1)))
     k1_diag, k2, k3, v, alpha, beta = [o + w @ row for (o, w), row in zip(model._rows, phi)]
     alpha, beta = float(alpha[0]), float(beta[0])
 
@@ -418,5 +382,5 @@ def prom_gradient(model: PromModel, p_hat) -> dict:
     p_hat = _query_point(model.centers, p_hat)
     diff = p_hat - model.centers  # (n_centers, n_params)
     delta = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    dgamma = _radial(model._kind, model._eps, delta, model._eps_sq)[:, :, None] * diff
+    dgamma = _radial(model.kind, model._eps, delta, model._eps_sq)[:, :, None] * diff
     return {name: w @ dg for name, (_, w), dg in zip(OPERATOR_NAMES, model._rows, dgamma)}

@@ -87,16 +87,22 @@ def _pair_scale(scales: list[float], idx) -> float:
     return min([scales[i] for i in idx])
 
 
-def build_eed_plan(m: int, scales) -> list[tuple]:
-    """Probe labels/coordinates for tangent-based identification."""
-    scales = np.asarray(scales, dtype=float)
-    listed = scales.tolist()
+def _single_probes(m: int, scales: np.ndarray) -> list[tuple]:
+    """The +/- probe along each basis vector that both plans start with."""
     plan = []
     for i in range(m):
         for sign in (+1.0, -1.0):
             eta = np.zeros(m)
             eta[i] = sign * scales[i]
             plan.append((("single", i, sign), eta))
+    return plan
+
+
+def build_eed_plan(m: int, scales) -> list[tuple]:
+    """Probe labels/coordinates for tangent-based identification."""
+    scales = np.asarray(scales, dtype=float)
+    listed = scales.tolist()
+    plan = _single_probes(m, scales)
     for i, j in combinations(range(m), 2):
         s = _pair_scale(listed, (i, j))
         eta = np.zeros(m)
@@ -110,12 +116,7 @@ def build_ed_plan(m: int, scales) -> list[tuple]:
     """Probe labels/coordinates for force-based identification."""
     scales = np.asarray(scales, dtype=float)
     listed = scales.tolist()
-    plan = []
-    for i in range(m):
-        for sign in (+1.0, -1.0):
-            eta = np.zeros(m)
-            eta[i] = sign * scales[i]
-            plan.append((("single", i, sign), eta))
+    plan = _single_probes(m, scales)
     for i, j in combinations(range(m), 2):
         s = _pair_scale(listed, (i, j))
         for sign in (+1.0, -1.0):

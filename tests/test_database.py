@@ -143,12 +143,14 @@ def test_database_round_trip_exact_values(tmp_path, small_db):
         np.testing.assert_array_equal(a.tensors.k3_unique, b.tensors.k3_unique)
         assert a.alpha == b.alpha and a.beta == b.beta
         assert a.tensors.eval_count == b.tensors.eval_count
-    # surrogate weights round-trip exactly
-    for name, interp in db.prom.interpolants.items():
-        np.testing.assert_array_equal(back.prom.interpolants[name].weights, interp.weights)
-        assert back.prom.interpolants[name].weights.flags.f_contiguous
-        np.testing.assert_array_equal(back.prom.interpolants[name].offset, interp.offset)
-        assert back.prom.interpolants[name].kernel == interp.kernel
+    # the surrogate round-trips exactly, with column-major weights
+    np.testing.assert_array_equal(back.prom.centers, db.prom.centers)
+    assert back.prom.kind == db.prom.kind
+    assert back.prom.eps == db.prom.eps and back.prom.condition == db.prom.condition
+    for name, weights in db.prom.weights.items():
+        np.testing.assert_array_equal(back.prom.weights[name], weights)
+        assert back.prom.weights[name].flags.f_contiguous
+        np.testing.assert_array_equal(back.prom.offset[name], db.prom.offset[name])
     np.testing.assert_array_equal(back.validation.eps_grid, db.validation.eps_grid)
     assert back.validation.selected == db.validation.selected
 
@@ -158,10 +160,10 @@ def test_prom_bytes_do_not_depend_on_weight_layout(tmp_path, small_db):
     fortran, c_order = tmp_path / "f.promdb", tmp_path / "c.promdb"
     save_database(db, fortran)
     c_db = load_database(fortran)
-    for interp in c_db.prom.interpolants.values():
+    for name, weights in c_db.prom.weights.items():
         # bypasses the constructor, which would store the weights column-major again
-        interp.weights = np.ascontiguousarray(interp.weights)
-    assert not c_db.prom.interpolants["k3"].weights.flags.f_contiguous
+        c_db.prom.weights[name] = np.ascontiguousarray(weights)
+    assert not c_db.prom.weights["k3"].flags.f_contiguous
     save_database(c_db, c_order)
     assert fortran.read_bytes() == c_order.read_bytes()
 

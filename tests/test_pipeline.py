@@ -290,9 +290,8 @@ def test_benchmark_isolates_surrogate_failures():
     train = build_database(cfg, "train")
     val = build_companion_database(train, cfg, "validation")
     db = fit_prom(train, val, cfg)
-    alpha = db.prom.interpolants["alpha"]
-    alpha.offset[:] = -1.0
-    alpha.weights[:] = 0.0
+    db.prom.offset["alpha"][:] = -1.0
+    db.prom.weights["alpha"][:] = 0.0
     report = run_benchmark(db, cfg)
     assert set(report.failures[0]) == {"interpolated", "linear"}
     assert "StructureViolation" in report.failures[0]["interpolated"]

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +7,20 @@ from hypothesis import strategies as st
 
 from promforge.config import RunConfig
 from promforge.errors import IllConditionedError, StructureViolationError
+from promforge import rbf
 from promforge.params import lhs_sample
 from promforge.rbf import (
     KERNEL_KINDS,
     OPERATOR_NAMES,
     PromModel,
     RbfKernel,
-    RbfInterpolant,
+    _factor_kernel,
+    _query_point,
+    _radial,
     evaluate_prom,
     fit_prom_interpolants,
     fit_weights,
     kernel_eval,
-    kernel_slope_over_distance,
     operator_tables,
     operator_vectors,
     prom_gradient,
@@ -50,15 +51,16 @@ def test_kernels_monotone_decreasing():
 
 
 def test_kernel_slope_smooth_at_zero():
+    # the slope gamma'(d)/d that prom_gradient takes from _radial
     for kind in ("inverse_multiquadric", "gaussian"):
         k = RbfKernel(kind, 1.7)
-        s0 = kernel_slope_over_distance(k, 0.0)
+        s0 = _radial(kind, k.eps, 0.0, k.eps**2)
         assert np.isfinite(s0)
         # finite-difference check of gamma'(d)/d away from zero
         d = 0.4
         h = 1e-7
         fd = (kernel_eval(k, d + h) - kernel_eval(k, d - h)) / (2 * h)
-        assert kernel_slope_over_distance(k, d) * d == pytest.approx(fd, rel=1e-6)
+        assert _radial(kind, k.eps, d, k.eps**2) * d == pytest.approx(fd, rel=1e-6)
 
 
 def test_kernel_validation():
@@ -71,22 +73,38 @@ def test_kernel_validation():
 # ----------------------------------------------------------------------
 # weight fitting
 # ----------------------------------------------------------------------
+def constant_rom(value, p_hat=(0.5, 0.5)):
+    """An n = m = 1 ROM whose every operator entry is `value`."""
+    tensors = IdentifiedTensors(m=1, k2_unique=[value], k3_unique=[value], method="direct")
+    return RomOperators(
+        basis=[[value]], k1_diag=[value], tensors=tensors, alpha=value, beta=value,
+        p_hat=np.asarray(p_hat, dtype=float),
+    )
+
+
 def test_fit_single_center():
     # one center: the training mean carries the whole value, weights vanish
-    interp = fit_weights(np.array([[3.0], [4.0]]), np.array([[0.5, 0.5]]), RbfKernel())
-    np.testing.assert_allclose(interp.offset, [3.0, 4.0])
-    np.testing.assert_allclose(interp.weights, np.zeros((2, 1)))
-    np.testing.assert_allclose(interp.evaluate(np.array([0.5, 0.5])), [3.0, 4.0])
-    np.testing.assert_allclose(interp.evaluate(np.array([0.1, 0.9])), [3.0, 4.0])
+    model = fit_prom_interpolants(
+        [constant_rom(3.0)], np.array([[0.5, 0.5]]), "inverse_multiquadric",
+        dict.fromkeys(OPERATOR_NAMES, 1.0),
+    )
+    for name in OPERATOR_NAMES:
+        np.testing.assert_allclose(model.offset[name], [3.0])
+        np.testing.assert_allclose(model.weights[name], np.zeros((1, 1)))
+    for p in ([0.5, 0.5], [0.1, 0.9]):
+        got = operator_vectors(evaluate_prom(model, np.array(p)))
+        for name in OPERATOR_NAMES:
+            np.testing.assert_allclose(got[name], [3.0])
 
 
 def test_interpolation_property_at_centers():
     rng = np.random.default_rng(0)
     centers = lhs_sample(12, 2, seed=1).points
     values = rng.standard_normal((40, 12))
-    interp = fit_weights(values, centers, RbfKernel("inverse_multiquadric", 1.5))
+    gamma, factors, _ = _factor_kernel(centers, RbfKernel("inverse_multiquadric", 1.5))
+    offset, weights = fit_weights(values, gamma, factors)
     for i in range(12):
-        approx = interp.evaluate(centers[i])
+        approx = offset + weights @ gamma[:, i]  # the kernel row at center i
         assert np.linalg.norm(approx - values[:, i]) < 1e-10 * np.linalg.norm(values[:, i])
 
 
@@ -95,26 +113,65 @@ def test_constant_data_reproduced_everywhere():
     # centers; the mean offset absorbs them, so constant data maps to zero
     # weights and exact reproduction at and between centers
     centers = lhs_sample(8, 2, seed=2).points
-    values = np.full((3, 8), 7.5)
-    interp = fit_weights(values, centers, RbfKernel("inverse_multiquadric", 1.0))
-    np.testing.assert_allclose(interp.weights, np.zeros((3, 8)), atol=1e-12)
-    for i in range(8):
-        np.testing.assert_allclose(interp.evaluate(centers[i]), 7.5, rtol=1e-12)
-    off = interp.evaluate(np.array([0.123, 0.921]))
-    np.testing.assert_allclose(off, 7.5, rtol=1e-12)
+    model = fit_prom_interpolants(
+        [constant_rom(7.5, p) for p in centers], centers, "inverse_multiquadric",
+        dict.fromkeys(OPERATOR_NAMES, 1.0),
+    )
+    for name in OPERATOR_NAMES:
+        np.testing.assert_allclose(model.weights[name], np.zeros((1, 8)), atol=1e-12)
+    for p in (*centers, np.array([0.123, 0.921])):
+        got = operator_vectors(evaluate_prom(model, p))
+        for name in OPERATOR_NAMES:
+            np.testing.assert_allclose(got[name], 7.5, rtol=1e-12)
 
 
 def test_fit_rejects_duplicate_centers():
     centers = np.array([[0.1, 0.1], [0.1, 0.1]])
     with pytest.raises(ValueError):
-        fit_weights(np.ones((2, 2)), centers, RbfKernel())
+        fit_prom_interpolants(
+            [constant_rom(1.0)] * 2, centers, "inverse_multiquadric",
+            dict.fromkeys(OPERATOR_NAMES, 1.0),
+        )
 
 
 def test_fit_warns_on_ill_conditioning():
     centers = lhs_sample(10, 2, seed=3).points
-    values = np.ones((1, 10))
     with pytest.warns(RuntimeWarning):
-        fit_weights(values, centers, RbfKernel("gaussian", 1e-4))
+        fit_prom_interpolants(
+            [constant_rom(1.0)] * 10, centers, "gaussian", dict.fromkeys(OPERATOR_NAMES, 1e-4)
+        )
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [
+        pytest.param([1.2] * 6, id="shared"),
+        pytest.param([0.5, 1.2, 0.5, 2.0, 1.2, 0.5], id="three-distinct"),
+        pytest.param([0.5, 0.7, 0.9, 1.1, 1.3, 1.5], id="all-distinct"),
+    ],
+)
+def test_final_fit_factors_once_per_distinct_eps(monkeypatch, eps):
+    train = lhs_sample(12, 2, seed=4).points
+    roms = [synthetic_rom(p) for p in train]
+    factored = []
+
+    def counted(centers, kernel):
+        factored.append(kernel.eps)
+        return _factor_kernel(centers, kernel)
+
+    monkeypatch.setattr(rbf, "_factor_kernel", counted)
+    model = fit_prom_interpolants(
+        roms, train, "inverse_multiquadric", dict(zip(OPERATOR_NAMES, eps))
+    )
+    assert sorted(factored) == sorted(set(eps))
+    # a shared factorization gives each operator the weights of a fit on its own
+    tables = operator_tables(roms)
+    for name, e in zip(OPERATOR_NAMES, eps):
+        gamma, factors, cond = _factor_kernel(train, RbfKernel("inverse_multiquadric", e))
+        offset, weights = fit_weights(tables[name], gamma, factors)
+        np.testing.assert_array_equal(model.offset[name], offset, err_msg=name)
+        np.testing.assert_array_equal(model.weights[name], weights, err_msg=name)
+        assert model.condition[name] == cond
 
 
 # ----------------------------------------------------------------------
@@ -188,12 +245,33 @@ def test_prom_warns_on_extrapolation(synthetic_prom, point, outside):
     assert bool(warned) == outside
 
 
-def interpolant_evaluate(model, p_hat):
-    return model.interpolants["k2"].evaluate(p_hat)
+# ----------------------------------------------------------------------
+# the per-operator reference: one operator evaluated on its own
+# ----------------------------------------------------------------------
+def kernel_slope(kind, eps, delta):
+    """gamma'(delta)/delta at one scalar eps, squared as Python squares it."""
+    x2 = (eps * delta) ** 2
+    if kind == "inverse_multiquadric":
+        return -eps**2 * (1.0 + x2) ** (-1.5)
+    return -2.0 * eps**2 * np.exp(-x2)
 
 
-def interpolant_gradient(model, p_hat):
-    return model.interpolants["k2"].gradient(p_hat)
+def interpolant_evaluate(model, p_hat, name="k2"):
+    """offset + weights @ kernel row of one operator, from its own distance
+    vector and kernel: what the fused query must give bit for bit."""
+    p_hat = _query_point(model.centers, p_hat)
+    delta = np.linalg.norm(model.centers - p_hat[None, :], axis=1)
+    row = kernel_eval(RbfKernel(model.kind, model.eps[name]), delta)
+    return model.offset[name] + model.weights[name] @ row
+
+
+def interpolant_gradient(model, p_hat, name="k2"):
+    """(n_entries, n_params) derivative of one operator's entries at p_hat."""
+    p_hat = _query_point(model.centers, p_hat)
+    diff = p_hat[None, :] - model.centers  # (n_centers, n_params)
+    delta = np.linalg.norm(diff, axis=1)
+    slope = kernel_slope(model.kind, model.eps[name], delta)
+    return model.weights[name] @ (slope[:, None] * diff)
 
 
 @pytest.mark.parametrize("point", [[0.4], [0.4, 0.5, 0.6], [np.nan, 0.5], [0.4, np.inf]])
@@ -305,31 +383,33 @@ def test_validate_eps_rejects_rom_center_count_mismatch(synthetic_prom):
 
 
 def reference_curves(train_roms, train, val_roms, val, grid, kind, metric, condition_limit):
-    """The sweep computed the long way: a full weight fit per operator and
-    eps, then one interpolant evaluation per validation point."""
-    curves = {}
-    for name in OPERATOR_NAMES:
-        table = np.column_stack([operator_vectors(r)[name] for r in train_roms])
-        curve = np.full(grid.size, np.inf)
-        for k, eps in enumerate(grid):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    interp = fit_weights(table, train, RbfKernel(kind, eps))
-                except IllConditionedError:
-                    continue
-            if interp.condition > condition_limit:
+    """The sweep computed the long way: a full weight fit per eps, then one
+    surrogate evaluation per validation point."""
+    curves = {name: np.full(grid.size, np.inf) for name in OPERATOR_NAMES}
+    for k, eps in enumerate(grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                model = fit_prom_interpolants(
+                    train_roms, train, kind, dict.fromkeys(OPERATOR_NAMES, eps)
+                )
+            except IllConditionedError:
+                continue
+            predictions = [
+                operator_vectors(evaluate_prom(model, p, structure_check="warn")) for p in val
+            ]
+        for name in OPERATOR_NAMES:
+            if model.condition[name] > condition_limit:
                 continue
             ratios = []
-            for rom, p in zip(val_roms, val):
+            for rom, predicted in zip(val_roms, predictions):
                 exact = operator_vectors(rom)[name]
-                ratios.append(np.linalg.norm(exact - interp.evaluate(p)) / np.linalg.norm(exact))
+                ratios.append(np.linalg.norm(exact - predicted[name]) / np.linalg.norm(exact))
             ratios = np.asarray(ratios)
             if metric == "verbatim":
-                curve[k] = np.sqrt(np.sum(ratios))
+                curves[name][k] = np.sqrt(np.sum(ratios))
             else:
-                curve[k] = np.sqrt(np.mean(ratios**2))
-        curves[name] = curve
+                curves[name][k] = np.sqrt(np.mean(ratios**2))
     return curves
 
 
@@ -369,24 +449,48 @@ def test_rms_metric_variant(synthetic_prom):
 # ----------------------------------------------------------------------
 # gradients
 # ----------------------------------------------------------------------
+def scalar_prom_fields(centers, kind="inverse_multiquadric", eps=1.0):
+    """PromModel fields of an n = m = 1 surrogate: one entry per operator,
+    unit weights on every center and zero offsets."""
+    return dict(
+        centers=centers,
+        kind=kind,
+        eps=dict.fromkeys(OPERATOR_NAMES, eps),
+        offset={name: np.zeros(1) for name in OPERATOR_NAMES},
+        weights={name: np.ones((1, len(centers))) for name in OPERATOR_NAMES},
+        condition=dict.fromkeys(OPERATOR_NAMES, 1.0),
+        n=1,
+        m=1,
+    )
+
+
 def test_gradient_zero_at_single_center():
-    interp = fit_weights(np.array([[2.0]]), np.array([[0.3, 0.7]]), RbfKernel())
-    np.testing.assert_allclose(interp.gradient(np.array([0.3, 0.7])), np.zeros((1, 2)))
+    center = np.array([[0.3, 0.7]])
+    model = fit_prom_interpolants(
+        [constant_rom(2.0)], center, "inverse_multiquadric", dict.fromkeys(OPERATOR_NAMES, 1.0)
+    )
+    for grad in prom_gradient(model, center[0]).values():
+        np.testing.assert_allclose(grad, np.zeros((1, 2)))
 
 
 def test_gradient_radial_direction_single_center():
     # a unit-weight kernel bump has a gradient parallel to (p - center)
-    interp = RbfInterpolant(
-        centers=np.array([[0.3, 0.7]]),
-        weights=np.array([[1.0]]),
-        kernel=RbfKernel("inverse_multiquadric", 1.5),
-    )
+    model = PromModel(**scalar_prom_fields(np.array([[0.3, 0.7]]), eps=1.5))
     p = np.array([0.8, 0.2])
-    g = interp.gradient(p)[0]
+    g = prom_gradient(model, p)["k1"][0]
     r = p - np.array([0.3, 0.7])
     assert np.linalg.norm(g) > 0.0
     cross = g[0] * r[1] - g[1] * r[0]
     assert abs(cross) < 1e-14 * np.linalg.norm(g) * np.linalg.norm(r)
+
+
+def central_difference(model, p, d, h):
+    """(evaluate_prom(p + h e_d) - evaluate_prom(p - h e_d)) / 2h per operator."""
+    e = np.zeros(p.size)
+    e[d] = h
+    plus = operator_vectors(evaluate_prom(model, p + e))
+    minus = operator_vectors(evaluate_prom(model, p - e))
+    return {name: (plus[name] - minus[name]) / (2 * h) for name in OPERATOR_NAMES}
 
 
 def test_gradient_matches_fd(synthetic_prom):
@@ -394,12 +498,10 @@ def test_gradient_matches_fd(synthetic_prom):
     p = np.array([0.42, 0.58])
     grads = prom_gradient(model, p)
     h = 1e-6
-    for name in OPERATOR_NAMES:
-        interp = model.interpolants[name]
-        for d in range(2):
-            e = np.zeros(2)
-            e[d] = h
-            fd = (interp.evaluate(p + e) - interp.evaluate(p - e)) / (2 * h)
+    for d in range(2):
+        fds = central_difference(model, p, d, h)
+        for name in OPERATOR_NAMES:
+            fd = fds[name]
             num = np.linalg.norm(grads[name][:, d] - fd)
             den = max(np.linalg.norm(fd), 1e-12)
             assert num / den < 1e-6, (name, d)
@@ -407,13 +509,11 @@ def test_gradient_matches_fd(synthetic_prom):
 
 def test_gradient_fd_second_order(synthetic_prom):
     model, _, _ = synthetic_prom
-    interp = model.interpolants["k1"]
     p = np.array([0.42, 0.58])
-    exact = interp.gradient(p)[:, 0]
+    exact = prom_gradient(model, p)["k1"][:, 0]
     errs = []
     for h in (4e-3, 2e-3, 1e-3):
-        e = np.array([h, 0.0])
-        fd = (interp.evaluate(p + e) - interp.evaluate(p - e)) / (2 * h)
+        fd = central_difference(model, p, 0, h)["k1"]
         errs.append(np.linalg.norm(fd - exact))
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all((ratios > 3.5) & (ratios < 4.5))
@@ -422,55 +522,37 @@ def test_gradient_fd_second_order(synthetic_prom):
 @pytest.mark.parametrize(
     "weights, offset, match",
     [
-        pytest.param(np.ones((3, 4)), None, "one column per center", id="extra-column"),
-        pytest.param(np.ones((3, 2)), None, "one column per center", id="missing-column"),
-        pytest.param(np.ones(3), None, "one column per center", id="vector"),
+        pytest.param(np.ones((3, 4)), np.zeros(3), "one column per center", id="extra-column"),
+        pytest.param(np.ones((3, 2)), np.zeros(3), "one column per center", id="missing-column"),
+        pytest.param(np.ones(3), np.zeros(3), "one column per center", id="vector"),
         pytest.param(np.ones((3, 3)), np.ones(2), "one entry per weight row", id="short-offset"),
         pytest.param(np.ones((3, 3)), np.ones((3, 1)), "one entry per weight row", id="column-offset"),
     ],
 )
 def test_interpolant_rejects_malformed_weights(weights, offset, match):
+    fields = scalar_prom_fields(np.eye(3, 2))
+    fields["weights"]["k2"], fields["offset"]["k2"] = weights, offset
     with pytest.raises(ValueError, match=match):
-        RbfInterpolant(np.eye(3, 2), weights, RbfKernel(), offset=offset)
+        PromModel(**fields)
 
 
 def test_weights_are_column_major_however_built(synthetic_prom):
-    model, _, train = synthetic_prom
-    fitted = fit_weights(np.arange(36.0).reshape(3, 12), train, RbfKernel())
-    direct = RbfInterpolant(train, np.ones((5, 12)), RbfKernel())
-    for interp in (fitted, direct, *model.interpolants.values()):
-        assert interp.weights.flags.f_contiguous
-    # the fused query reads the interpolants' own arrays, not copies
-    for name, (offset, weights) in zip(OPERATOR_NAMES, model._rows):
-        assert weights is model.interpolants[name].weights
-        assert offset is model.interpolants[name].offset
+    fitted, _, _ = synthetic_prom
+    direct = random_prom("gaussian", 5, 3, 2, 2, np.random.default_rng(0))  # C-ordered input
+    for model in (fitted, direct):
+        for name, (offset, weights) in zip(OPERATOR_NAMES, model._rows):
+            assert weights.flags.f_contiguous, name
+            # the fused query reads the model's own arrays, not copies
+            assert weights is model.weights[name]
+            assert offset is model.offset[name]
 
 
 def test_prom_model_requires_all_operators():
-    with pytest.raises(ValueError):
-        PromModel(centers=np.zeros((1, 2)), interpolants={}, n=2, m=1)
-
-
-def test_prom_model_rejects_mixed_kernel_kinds(synthetic_prom):
-    # one container stores one kernel kind, so a mixed model cannot round-trip
-    model, _, _ = synthetic_prom
-    k3 = model.interpolants["k3"]
-    interpolants = {**model.interpolants, "k3": replace(k3, kernel=RbfKernel("gaussian", 1.2))}
-    with pytest.raises(ValueError, match="kernel kind"):
-        PromModel(centers=model.centers, interpolants=interpolants, n=model.n, m=model.m)
-
-
-@pytest.mark.parametrize("moved", ["value", "shape"])
-def test_prom_model_rejects_interpolants_over_other_centers(synthetic_prom, moved):
-    model, _, _ = synthetic_prom
-    v = model.interpolants["v"]
-    if moved == "value":
-        moved_v = replace(v, centers=model.centers + 1e-9)
-    else:  # a well-formed interpolant over one center fewer
-        moved_v = replace(v, centers=model.centers[:-1], weights=v.weights[:, :-1])
-    interpolants = {**model.interpolants, "v": moved_v}
-    with pytest.raises(ValueError, match="centers"):
-        PromModel(centers=model.centers, interpolants=interpolants, n=model.n, m=model.m)
+    for field in ("eps", "offset", "weights", "condition"):
+        fields = scalar_prom_fields(np.zeros((1, 2)))
+        del fields[field]["k3"]
+        with pytest.raises(ValueError, match="missing operators"):
+            PromModel(**fields)
 
 
 def random_prom(kind, n_centers, n, m, n_params, rng, eps=None):
@@ -480,17 +562,20 @@ def random_prom(kind, n_centers, n, m, n_params, rng, eps=None):
     if eps is None:
         eps = rng.uniform(0.05, 4.0, len(OPERATOR_NAMES))
     assert len(set(eps)) == len(OPERATOR_NAMES)
-    interpolants = {
-        name: RbfInterpolant(
-            centers=centers,
-            weights=rng.standard_normal((sizes[name], n_centers)),
-            kernel=RbfKernel(kind, float(e)),
-            offset=rng.standard_normal(sizes[name]),
-            name=name,
-        )
-        for name, e in zip(OPERATOR_NAMES, eps)
-    }
-    return PromModel(centers=centers, interpolants=interpolants, n=n, m=m)
+    weights, offset = {}, {}
+    for name in OPERATOR_NAMES:
+        weights[name] = rng.standard_normal((sizes[name], n_centers))
+        offset[name] = rng.standard_normal(sizes[name])
+    return PromModel(
+        centers=centers,
+        kind=kind,
+        eps={name: float(e) for name, e in zip(OPERATOR_NAMES, eps)},
+        offset=offset,
+        weights=weights,
+        condition=dict.fromkeys(OPERATOR_NAMES, 1.0),
+        n=n,
+        m=m,
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -513,9 +598,9 @@ def test_fused_queries_match_per_operator_interpolants_bit_for_bit(
         warnings.simplefilter("ignore", RuntimeWarning)  # random operators lose positivity
         got = operator_vectors(evaluate_prom(model, p, structure_check="warn"))
     grads = prom_gradient(model, p)
-    for name, interp in model.interpolants.items():
-        np.testing.assert_array_equal(got[name], interp.evaluate(p), err_msg=name)
-        np.testing.assert_array_equal(grads[name], interp.gradient(p), err_msg=name)
+    for name in OPERATOR_NAMES:
+        np.testing.assert_array_equal(got[name], interpolant_evaluate(model, p, name), err_msg=name)
+        np.testing.assert_array_equal(grads[name], interpolant_gradient(model, p, name), err_msg=name)
 
 
 # Python's eps**2 and numpy's eps*eps round these shape parameters differently
@@ -525,5 +610,5 @@ def test_fused_gradient_squares_each_eps_as_its_interpolant_does(kind):
     model = random_prom(kind, 7, 4, 3, 2, np.random.default_rng(3), eps=eps)
     p = np.array([0.3, 0.8])
     grads = prom_gradient(model, p)
-    for name, interp in model.interpolants.items():
-        np.testing.assert_array_equal(grads[name], interp.gradient(p), err_msg=name)
+    for name in OPERATOR_NAMES:
+        np.testing.assert_array_equal(grads[name], interpolant_gradient(model, p, name), err_msg=name)
