@@ -6,10 +6,12 @@ w and its slope.  The axial strain is e = u' + z0'*w' + w'^2/2 and the
 curvature k = w'', so the internal force is an exact cubic polynomial in
 the nodal displacements and the tangent stiffness an exact quadratic.
 
-The rest of the pipeline consumes this model only through black-box
-evaluations (mass, linear stiffness, internal force, tangent stiffness,
-static solve); nothing outside the test suite may rely on element-level
-internals.
+The rest of the pipeline sees the structure only through eight members of
+`CurvedBeamAssembly`: `n`, `mass_matrix()`, `linear_stiffness()`,
+`internal_force(q)`, `tangent_stiffness(q)`, `probe_scales(vectors,
+multiple)`, `load_pattern()` and `monitor_dofs(monitors)`.  Every geometry
+rule (thickness, transverse DOFs, node positions) stays behind them;
+nothing outside the test suite may rely on element-level internals.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "PulseLoad",
     "initial_shape",
     "initial_slope",
-    "uniform_transverse_pattern",
     "static_solve",
 ]
 
@@ -230,13 +231,52 @@ class CurvedBeamAssembly:
         """Boolean mask of free DOFs that are transverse displacements w."""
         return self.free_dofs % 3 == 1
 
-    @cached_property
-    def axial_mask(self) -> np.ndarray:
-        return self.free_dofs % 3 == 0
+    # ------------------------------------------------------------------
+    # geometry rules the pipeline asks for
+    # ------------------------------------------------------------------
+    def probe_scales(self, vectors, multiple: float) -> np.ndarray:
+        """Per-column scales that take each column's largest transverse
+        displacement to `multiple` beam thicknesses."""
+        if multiple <= 0.0:
+            raise ValueError("probe multiple must be positive")
+        wmax = np.abs(np.asarray(vectors, dtype=float)[self.transverse_mask]).max(axis=0)
+        if np.any(wmax == 0.0):
+            raise ValueError("a column has no transverse content")
+        return multiple * self.spec.thickness / wmax
 
-    @cached_property
-    def midspan_node(self) -> int:
-        return int(np.argmin(np.abs(self.nodes_x - self.spec.length / 2.0)))
+    def load_pattern(self) -> np.ndarray:
+        """Consistent nodal load for a unit uniform pressure on the beam face.
+
+        Pressure acts along +w; the returned vector is the load per unit
+        pressure (multiply by an amplitude in Pa to get forces).
+        """
+        line_load = self.spec.width  # N/m per unit pressure
+        f_el = line_load * np.einsum("eg,egk->ek", self._wq, self._rows_nw)
+        return self._scatter_free(f_el)
+
+    def monitor_dofs(self, monitors):
+        """Map monitor names / raw free-DOF indices to indices and labels."""
+        L = self.spec.length
+        named = {
+            "midspan_w": (L / 2.0, 1),
+            "quarter_w": (L / 4.0, 1),
+            "quarter_u": (L / 4.0, 0),
+        }
+        indices, labels = [], []
+        for mon in monitors:
+            if isinstance(mon, (int, np.integer)):
+                if not 0 <= int(mon) < self.n:
+                    raise ValueError(f"monitor index {mon} out of range")
+                indices.append(int(mon))
+                labels.append(f"dof{int(mon)}")
+            elif mon in named:
+                x_target, comp = named[mon]
+                node = int(np.argmin(np.abs(self.nodes_x - x_target)))
+                indices.append(self.free_index(node, comp))
+                labels.append(mon)
+            else:
+                raise ValueError(f"unknown monitor {mon!r}")
+        return np.array(indices, dtype=np.int64), labels
 
     # ------------------------------------------------------------------
     # black-box evaluations
@@ -334,17 +374,6 @@ class PulseLoad:
         if t < 0.0 or t >= self.t_pulse:
             return np.zeros_like(self.pattern)
         return self.pattern * (self.amplitude * np.sin(np.pi * t / self.t_pulse))
-
-
-def uniform_transverse_pattern(assembly: CurvedBeamAssembly) -> np.ndarray:
-    """Consistent nodal load for a unit uniform pressure on the beam face.
-
-    Pressure acts along +w; the returned vector is the load per unit
-    pressure (multiply by an amplitude in Pa to get forces).
-    """
-    line_load = assembly.spec.width  # N/m per unit pressure
-    f_el = line_load * np.einsum("eg,egk->ek", assembly._wq, assembly._rows_nw)
-    return assembly._scatter_free(f_el)
 
 
 def static_solve(

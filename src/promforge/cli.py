@@ -16,9 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import apply_overrides, config_from_dict
+from .config import load_config
 from .database import load_database, load_report, read_container, save_database, save_report
 from .errors import PromforgeError
 from .pipeline import (
@@ -32,10 +30,7 @@ from .pipeline import (
 
 
 def _load_cfg(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    raw = apply_overrides(raw, args.set or [])
-    cfg = config_from_dict(raw)
+    cfg = load_config(args.config, args.set or ())
     out = Path(args.out) if args.out else Path(cfg.output_directory)
     return cfg, out
 

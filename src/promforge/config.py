@@ -247,10 +247,11 @@ def config_from_dict(data: dict) -> RunConfig:
     return _validate(RunConfig(**kwargs))
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=()) -> RunConfig:
+    """Read a YAML run configuration and apply `a.b.c=value` overrides to it."""
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
-    return config_from_dict(data)
+    return config_from_dict(apply_overrides(data, overrides))
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:

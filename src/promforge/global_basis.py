@@ -35,12 +35,10 @@ __all__ = [
 
 @dataclass
 class SnapshotMatrices:
-    """Unit-normalized stacked mode / companion snapshots with origin labels."""
+    """Unit-normalized stacked mode / companion snapshots, sample-major."""
 
     modes: np.ndarray  # (n, sum of per-sample mode counts)
     companions: np.ndarray  # (n, sum of per-sample companion counts)
-    mode_origin: np.ndarray  # sample index per column
-    companion_origin: np.ndarray
 
 
 @dataclass
@@ -94,15 +92,9 @@ def assemble_snapshots(
 
     modes = np.column_stack([ms.shapes for ms in mode_sets])
     companions = np.column_stack([cs.vectors for cs in companion_sets])
-    mode_origin = np.concatenate(
-        [np.full(ms.n_modes, i) for i, ms in enumerate(mode_sets)]
-    )
-    companion_origin = np.concatenate(
-        [np.full(cs.n_companions, i) for i, cs in enumerate(companion_sets)]
-    )
     modes = modes / np.linalg.norm(modes, axis=0)
     companions = companions / np.linalg.norm(companions, axis=0)
-    return SnapshotMatrices(modes, companions, mode_origin, companion_origin)
+    return SnapshotMatrices(modes, companions)
 
 
 def pod_truncate(snapshots: np.ndarray, energy_threshold: float):

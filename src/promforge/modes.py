@@ -178,42 +178,36 @@ def compute_dual_modes(
     """Dual modes: POD of the nonlinear content of modal static solutions.
 
     For each retained mode (and optionally each equal-weight mode pair) the
-    static problem is solved for loads +/- K1 * v * s, with s calibrated so
-    the imposed transverse displacement reaches `scale_thickness` times the
-    beam thickness.  The linear part of each solution is subtracted and the
-    residuals are POD-compressed to the requested energy.
+    static problem is solved for loads +/- K1 * v * s, with s from
+    `assembly.probe_scales(directions, scale_thickness)`.  The linear part
+    of each solution is subtracted and the residuals are POD-compressed to
+    the requested energy.
     """
     from .beam_fe import static_solve as _static_solve
     from .global_basis import pod_truncate
 
     solver = static_solver if static_solver is not None else _static_solve
-    if scale_thickness <= 0.0:
-        raise ValueError("scale must be positive")
     k1 = assembly.linear_stiffness()
-    t = assembly.spec.thickness
 
-    directions = [(("single", int(i)), modes.shapes[:, i]) for i in range(modes.n_modes)]
+    directions = [modes.shapes[:, i] for i in range(modes.n_modes)]
     if include_pairs:
         for i in range(modes.n_modes):
             for j in range(i + 1, modes.n_modes):
-                directions.append(
-                    (("pair", int(i), int(j)), modes.shapes[:, i] + modes.shapes[:, j])
-                )
+                directions.append(modes.shapes[:, i] + modes.shapes[:, j])
+    directions = np.column_stack(directions)
+    scales = assembly.probe_scales(directions, scale_thickness)
 
-    residuals = []
-    for label, v in directions:
-        wmax = np.max(np.abs(v[assembly.transverse_mask]))
-        if wmax == 0.0:
-            raise ValueError(f"direction {label} has no transverse content")
-        s = scale_thickness * t / wmax
+    residuals, linear_norms = [], []
+    for v, s in zip(directions.T, scales):
         for sign in (+1.0, -1.0):
             q_lin = sign * s * v
             q_star = solver(assembly, k1 @ q_lin, q0=q_lin)
             residuals.append(q_star - q_lin)
+            linear_norms.append(np.linalg.norm(q_lin))
 
     snapshots = np.column_stack(residuals)
     norms = np.linalg.norm(snapshots, axis=0)
-    keep = norms > 1e-12 * (scale_thickness * t)
+    keep = norms > 1e-12 * np.array(linear_norms)
     if not np.any(keep):
         raise DegenerateSnapshotsError(
             "all dual-mode residuals are zero: the model responded linearly"

@@ -3,8 +3,9 @@
 The build walks the construction sequence sample by sample: LHS sampling,
 per-sample modes and companions, two-level POD global basis, per-sample
 mass orthogonalization, nearest-neighbour MAC reordering, non-intrusive
-tensor identification and Rayleigh coefficients.  Everything downstream of
-the FE kernel touches it only through black-box evaluations.
+tensor identification and Rayleigh coefficients.  `make_assembly` is the
+one place that names the FE kernel; everything else sees the structure only
+through the eight members listed in `beam_fe`'s docstring.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams, PulseLoad, uniform_transverse_pattern
+from .beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams, PulseLoad
 from .config import RunConfig
 from .database import MODEL_KINDS, BenchmarkReport, RomDatabase
-from .errors import DuplicateAssignmentError, PromforgeError, StructureViolationError
+from .errors import DuplicateAssignmentError, PromforgeError
 from .global_basis import (
     LocalBasis,
     assemble_snapshots,
@@ -33,7 +34,7 @@ from .newmark import ImplicitModel, newmark_integrate
 from .params import denormalize, lhs_sample
 from .rbf import evaluate_prom, fit_prom_interpolants, validate_eps
 from .rom import RomOperators, linearize, rayleigh_params, rom_model
-from .tensor_id import identify_ed, identify_eed, plan_scales
+from .tensor_id import identify_ed, identify_eed
 
 __all__ = [
     "make_assembly",
@@ -44,7 +45,6 @@ __all__ = [
     "run_benchmark",
     "export_histories",
     "write_timings",
-    "resolve_monitors",
     "dominant_period",
 ]
 
@@ -115,7 +115,7 @@ def sample_rom(cfg: RunConfig, assembly, local_basis: LocalBasis, omegas, p_hat,
     """
     basis = local_basis.vectors
     k1_red = basis.T @ assembly.linear_stiffness() @ basis
-    scales = plan_scales(basis, assembly, cfg.identification.probe_target)
+    scales = assembly.probe_scales(basis, cfg.identification.probe_target)
     if cfg.identification.method == "eed":
         tensors = identify_eed(assembly.tangent_stiffness, basis, scales, k1_red)
     else:
@@ -142,7 +142,7 @@ def _sample_ingredients(cfg: RunConfig, assembly, counters):
     mass, stiffness = assembly.mass_matrix(), assembly.linear_stiffness()
     n_modes = min(cfg.basis.n_modes, assembly.n)
     all_modes = solve_vms(mass, stiffness, n_modes)
-    pattern = uniform_transverse_pattern(assembly)
+    pattern = assembly.load_pattern()
     participation = mpf(all_modes, pattern)
     selected = select_vms(all_modes, participation, cfg.basis.f_max, cfg.basis.mpf_tol)
 
@@ -302,31 +302,6 @@ def fit_prom(train_db: RomDatabase, val_db: RomDatabase, cfg: RunConfig) -> RomD
     return train_db
 
 
-def resolve_monitors(assembly: CurvedBeamAssembly, monitors):
-    """Map monitor names / raw indices to free-dof indices and labels."""
-    L = assembly.spec.length
-    named = {
-        "midspan_w": (L / 2.0, 1),
-        "quarter_w": (L / 4.0, 1),
-        "quarter_u": (L / 4.0, 0),
-    }
-    indices, labels = [], []
-    for mon in monitors:
-        if isinstance(mon, (int, np.integer)):
-            if not 0 <= int(mon) < assembly.n:
-                raise ValueError(f"monitor index {mon} out of range")
-            indices.append(int(mon))
-            labels.append(f"dof{int(mon)}")
-        elif mon in named:
-            x_target, comp = named[mon]
-            node = int(np.argmin(np.abs(assembly.nodes_x - x_target)))
-            indices.append(assembly.free_index(node, comp))
-            labels.append(mon)
-        else:
-            raise ValueError(f"unknown monitor {mon!r}")
-    return np.array(indices, dtype=np.int64), labels
-
-
 def dominant_period(time, trace, t_start) -> float:
     """Mean spacing of upward zero crossings after t_start (NaN if too few)."""
     mask = time >= t_start
@@ -367,10 +342,10 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
     for i, p_hat in enumerate(test.points):
         fe = _fresh_point_fe(cfg, physical[i])
         assembly, mass, stiffness, omegas = fe
-        mon_idx, mon_labels = resolve_monitors(assembly, cfg.monitors)
-
-        pattern = uniform_transverse_pattern(assembly)
-        pulse = PulseLoad(pattern=pattern, amplitude=cfg.load.amplitude, t_pulse=cfg.load.t_pulse)
+        mon_idx, mon_labels = assembly.monitor_dofs(cfg.monitors)
+        pulse = PulseLoad(
+            pattern=assembly.load_pattern(), amplitude=cfg.load.amplitude, t_pulse=cfg.load.t_pulse
+        )
 
         alpha_fe, beta_fe = rayleigh_params(omegas[0], omegas[1], cfg.damping.zeta)
         damping_full = alpha_fe * mass + beta_fe * stiffness
@@ -379,7 +354,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
         try:
             interp_ops = evaluate_prom(db.prom, p_hat, structure_check=cfg.interpolation.structure_check)
         except PromforgeError as exc:
-            surrogate_failure = f"{type(exc).__name__}: {exc}"
+            surrogate_failure = exc
         closest = _nearest(db.points, p_hat)
         closest_ids.append(closest)
 
@@ -389,7 +364,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
         dt_source = interp_ops if interp_ops is not None else db.roms[closest]
         dt_rom = (2.0 * np.pi / np.sqrt(np.min(dt_source.k1_diag))) / cfg.integration.rom_steps_per_period
 
-        def hfm_runner():
+        def hfm_run():
             model = ImplicitModel(
                 mass=mass,
                 damping=damping_full,
@@ -403,31 +378,25 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
             )
             return hist.time, hist.displacement[:, mon_idx]
 
-        def rom_runner(ops):
-            def run():
-                hist = newmark_integrate(
-                    rom_model(ops, pulse.at), cfg.integration.t_span, dt_rom,
-                    gamma=cfg.integration.gamma, beta=cfg.integration.beta, kind="rom",
-                )
-                return hist.time, hist.displacement @ ops.basis[mon_idx, :].T
-            return run
+        def rom_run(ops):
+            hist = newmark_integrate(
+                rom_model(ops, pulse.at), cfg.integration.t_span, dt_rom,
+                gamma=cfg.integration.gamma, beta=cfg.integration.beta, kind="rom",
+            )
+            return hist.time, hist.displacement @ ops.basis[mon_idx, :].T
 
-        def recomputed_runner():
-            return rom_runner(_matched_rom(cfg, db, fe, p_hat, i)[1])()
-
-        def surrogate_runner(make_ops):
-            def run():
-                if interp_ops is None:
-                    raise StructureViolationError(surrogate_failure)
-                return rom_runner(make_ops(interp_ops))()
-            return run
+        def surrogate():
+            # both surrogate models report the evaluate_prom failure itself
+            if surrogate_failure is not None:
+                raise surrogate_failure
+            return interp_ops
 
         runners = {
-            "hfm": hfm_runner,
-            "interpolated": surrogate_runner(lambda ops: ops),
-            "closest": rom_runner(db.roms[closest]),
-            "recomputed": recomputed_runner,
-            "linear": surrogate_runner(linearize),
+            "hfm": hfm_run,
+            "interpolated": lambda: rom_run(surrogate()),
+            "closest": lambda: rom_run(db.roms[closest]),
+            "recomputed": lambda: rom_run(_matched_rom(cfg, db, fe, p_hat, i)[1]),
+            "linear": lambda: rom_run(linearize(surrogate())),
         }
 
         point_hist, point_err, point_period, point_fail, point_time = {}, {}, {}, {}, {}

@@ -32,7 +32,6 @@ from .sym_tensor import n_unique, symmetrize, unique_position
 
 __all__ = [
     "IdentifiedTensors",
-    "plan_scales",
     "build_eed_plan",
     "build_ed_plan",
     "identify_eed",
@@ -68,18 +67,6 @@ class IdentifiedTensors:
             k3_unique=np.zeros(n_unique(m, 4)),
             method=method,
         )
-
-
-def plan_scales(basis: np.ndarray, assembly, target_thickness: float) -> np.ndarray:
-    """Per-direction probe scales reaching `target_thickness` * t transversally."""
-    if target_thickness <= 0.0:
-        raise ValueError("probe target must be positive")
-    t = assembly.spec.thickness
-    w = np.abs(basis[assembly.transverse_mask])
-    wmax = w.max(axis=0)
-    if np.any(wmax == 0.0):
-        raise ValueError("a basis column has no transverse content")
-    return target_thickness * t / wmax
 
 
 def _pair_scale(scales: list[float], idx) -> float:

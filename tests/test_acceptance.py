@@ -33,7 +33,7 @@ from promforge.rom import (
     reduced_tangent,
     rom_model,
 )
-from promforge.tensor_id import build_eed_plan, identify_ed, identify_eed, plan_scales
+from promforge.tensor_id import build_eed_plan, identify_ed, identify_eed
 
 
 def _ok(criterion, detail):
@@ -66,7 +66,7 @@ def test_criterion_1_oracle_tensor_equivalence():
         _, phi = sla.eigh(K, M, subset_by_index=[0, m - 1])
         k1r = phi.T @ K @ phi
         k2u, k3u, _ = reduced_tensors_direct(asm, phi)
-        scales = plan_scales(phi, asm, 1.0)
+        scales = asm.probe_scales(phi, 1.0)
         eed = identify_eed(asm.tangent_stiffness, phi, scales, k1r)
         ed = identify_ed(asm.internal_force, phi, scales, k1r)
         e2 = np.linalg.norm(eed.k2_unique - k2u) / np.linalg.norm(k2u)
@@ -297,7 +297,7 @@ def test_training_point_rom_matches_direct_projection_trajectory(desk):
     cfg, db, _, _ = desk
     from dataclasses import replace
 
-    from promforge.beam_fe import PulseLoad, uniform_transverse_pattern
+    from promforge.beam_fe import PulseLoad
     from promforge.params import denormalize
     from promforge.pipeline import make_assembly
 
@@ -306,7 +306,7 @@ def test_training_point_rom_matches_direct_projection_trajectory(desk):
     k2u, k3u, _ = reduced_tensors_direct(asm, rom.basis)
     direct = replace(rom, tensors=replace(rom.tensors, k2_unique=k2u, k3_unique=k3u))
     pulse = PulseLoad(
-        pattern=uniform_transverse_pattern(asm),
+        pattern=asm.load_pattern(),
         amplitude=cfg.load.amplitude,
         t_pulse=cfg.load.t_pulse,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams, uniform_transverse_pattern
+from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.errors import DegenerateSnapshotsError, EmptySelectionError
 from promforge.modes import (
     CompanionSet,
@@ -36,8 +36,9 @@ class LinearBlackBox:
         a = rng.standard_normal((n, n))
         self.k = a @ a.T + n * np.eye(n)
         self.n = n
-        self.spec = SPEC
-        self.transverse_mask = np.ones(n, dtype=bool)
+
+    def probe_scales(self, vectors, multiple):
+        return multiple * SPEC.thickness / np.abs(vectors).max(axis=0)
 
     def linear_stiffness(self):
         return self.k
@@ -99,7 +100,7 @@ def test_mpf_orthogonal_pattern(beam):
 
 def test_mpf_antisymmetric_mode_not_excited(flat):
     ms = solve_vms(flat.mass_matrix(), flat.linear_stiffness(), 4)
-    pattern = uniform_transverse_pattern(flat)
+    pattern = flat.load_pattern()
     values = mpf(ms, pattern)
     # modes alternate symmetric/antisymmetric for the flat clamped beam
     assert abs(values[1]) < 1e-8 * np.max(np.abs(values))
@@ -108,14 +109,14 @@ def test_mpf_antisymmetric_mode_not_excited(flat):
 
 def test_select_vms_empty_below_first_mode(beam):
     ms = solve_vms(beam.mass_matrix(), beam.linear_stiffness(), 3)
-    pattern = uniform_transverse_pattern(beam)
+    pattern = beam.load_pattern()
     with pytest.raises(EmptySelectionError):
         select_vms(ms, mpf(ms, pattern), f_max=0.5 * ms.omegas[0] / (2 * np.pi), mpf_tol=0.0)
 
 
 def test_select_vms_keep_all(beam):
     ms = solve_vms(beam.mass_matrix(), beam.linear_stiffness(), 5)
-    pattern = uniform_transverse_pattern(beam)
+    pattern = beam.load_pattern()
     sel = select_vms(ms, mpf(ms, pattern), f_max=np.inf, mpf_tol=0.0)
     assert sel.n_modes == 5
     np.testing.assert_array_equal(sel.numbers, np.arange(5))
@@ -123,7 +124,7 @@ def test_select_vms_keep_all(beam):
 
 def test_select_vms_filters_antisymmetric(flat):
     ms = solve_vms(flat.mass_matrix(), flat.linear_stiffness(), 4)
-    pattern = uniform_transverse_pattern(flat)
+    pattern = flat.load_pattern()
     f_max = 1.05 * ms.omegas[3] / (2 * np.pi)  # band includes modes 1..4
     sel = select_vms(ms, mpf(ms, pattern), f_max=f_max, mpf_tol=1e-6)
     np.testing.assert_array_equal(sel.numbers, [0, 2])

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from promforge import pipeline
-from promforge.beam_fe import PulseLoad, uniform_transverse_pattern
+from promforge import beam_fe, pipeline
+from promforge.beam_fe import PulseLoad
 from promforge.cli import main as cli_main
 from promforge.config import config_from_dict
-from promforge.database import MODEL_KINDS, load_database, load_report
+from promforge.database import MODEL_KINDS, load_database, load_report, save_database, save_report
 from promforge.errors import DuplicateAssignmentError, EmptySelectionError, NonConvergenceError
 from promforge.global_basis import mass_orthogonalize
 from promforge.modes import solve_vms
@@ -19,7 +19,6 @@ from promforge.pipeline import (
     export_histories,
     fit_prom,
     make_assembly,
-    resolve_monitors,
     run_benchmark,
     sample_rom,
 )
@@ -158,6 +157,84 @@ def test_build_with_dual_mode_companions():
         assert np.all(rom.k1_diag > 0)
 
 
+def test_dual_mode_pairs_count_every_static_solve(monkeypatch):
+    # with dual_pairs every equal-weight mode pair adds two static solves
+    calls = {"n": 0}
+    solve = beam_fe.static_solve
+
+    def counting_solve(*args, **kwargs):
+        calls["n"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(beam_fe, "static_solve", counting_solve)
+    cfg = small_cfg(basis={"companion": "dual", "dual_pairs": True})
+    train = build_database(cfg, "train")
+    assert train.counters["dual_static_solves"] == calls["n"]
+    singles_only = build_database(small_cfg(basis={"companion": "dual"}), "train")
+    assert train.counters["dual_static_solves"] > singles_only.counters["dual_static_solves"]
+    val = build_companion_database(train, cfg, "validation")
+    report = run_benchmark(fit_prom(train, val, cfg), cfg)
+    assert report.n_points == 2
+    assert all(set(per_point) == set(MODEL_KINDS) for per_point in report.histories)
+
+
+class StructureContract:
+    """A structure that exposes only the eight members the pipeline may use."""
+
+    __slots__ = ("_structure",)
+
+    def __init__(self, structure):
+        self._structure = structure
+
+    @property
+    def n(self):
+        return self._structure.n
+
+    def mass_matrix(self):
+        return self._structure.mass_matrix()
+
+    def linear_stiffness(self):
+        return self._structure.linear_stiffness()
+
+    def internal_force(self, q):
+        return self._structure.internal_force(q)
+
+    def tangent_stiffness(self, q):
+        return self._structure.tangent_stiffness(q)
+
+    def probe_scales(self, vectors, multiple):
+        return self._structure.probe_scales(vectors, multiple)
+
+    def load_pattern(self):
+        return self._structure.load_pattern()
+
+    def monitor_dofs(self, monitors):
+        return self._structure.monitor_dofs(monitors)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"basis": {"companion": "dual"}, "identification": {"method": "ed"}}],
+    ids=["smd-eed", "dual-ed"],
+)
+def test_pipeline_sees_the_structure_only_through_its_contract(monkeypatch, tmp_path, variant):
+    cfg = small_cfg(**variant)
+
+    def artifacts(out):
+        out.mkdir()
+        train = build_database(cfg, "train")
+        val = build_companion_database(train, cfg, "validation")
+        db = fit_prom(train, val, cfg)
+        save_database(db, out / "prom.promdb")
+        save_report(run_benchmark(db, cfg), out / "bench.promdb")
+        return [(out / name).read_bytes() for name in ("prom.promdb", "bench.promdb")]
+
+    plain = artifacts(tmp_path / "plain")
+    make = pipeline.make_assembly
+    monkeypatch.setattr(pipeline, "make_assembly", lambda *args: StructureContract(make(*args)))
+    assert artifacts(tmp_path / "contract") == plain
+
+
 def test_build_with_force_based_identification():
     from math import comb
 
@@ -248,8 +325,8 @@ def test_recomputed_model_is_the_matched_test_rom(pipeline_result):
     run = cfg.integration
     for i, matched in enumerate(test_db.roms):
         asm = make_assembly(cfg, report.physical_points[i])
-        mon_idx, _ = resolve_monitors(asm, cfg.monitors)
-        pulse = PulseLoad(uniform_transverse_pattern(asm), cfg.load.amplitude, cfg.load.t_pulse)
+        mon_idx, _ = asm.monitor_dofs(cfg.monitors)
+        pulse = PulseLoad(asm.load_pattern(), cfg.load.amplitude, cfg.load.t_pulse)
         interp = evaluate_prom(db.prom, report.test_points[i], cfg.interpolation.structure_check)
         dt = (2.0 * np.pi / np.sqrt(np.min(interp.k1_diag))) / run.rom_steps_per_period
 
@@ -294,7 +371,11 @@ def test_benchmark_isolates_surrogate_failures():
     db.prom.weights["alpha"][:] = 0.0
     report = run_benchmark(db, cfg)
     assert set(report.failures[0]) == {"interpolated", "linear"}
-    assert "StructureViolation" in report.failures[0]["interpolated"]
+    for kind in ("interpolated", "linear"):
+        # the evaluate_prom failure, recorded once with its own type
+        failure = report.failures[0][kind]
+        assert failure.startswith("StructureViolationError: interpolated model lost positivity")
+        assert failure.count("StructureViolationError") == 1
     assert {"hfm", "closest", "recomputed"} <= set(report.histories[0])
     assert "closest" in report.errors[0] and "recomputed" in report.errors[0]
 
@@ -311,16 +392,16 @@ def test_dominant_period_too_short_is_nan():
     assert np.isnan(dominant_period(t, np.ones(5), 0.0))
 
 
-def test_resolve_monitors():
+def test_monitor_dofs():
     cfg = small_cfg()
     asm = make_assembly(cfg, np.array([1.0, 0.2]))
-    idx, labels = resolve_monitors(asm, ["midspan_w", "quarter_w", 0])
+    idx, labels = asm.monitor_dofs(["midspan_w", "quarter_w", 0])
     assert labels == ["midspan_w", "quarter_w", "dof0"]
     assert len(set(idx)) == 3
-    node = asm.midspan_node
+    node = int(np.argmin(np.abs(asm.nodes_x - asm.spec.length / 2.0)))
     assert idx[0] == asm.free_index(node, 1)
     with pytest.raises(ValueError):
-        resolve_monitors(asm, ["nonsense"])
+        asm.monitor_dofs(["nonsense"])
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from promforge.beam_fe import (
     CurvedBeamAssembly,
     GeometryParams,
     PulseLoad,
-    uniform_transverse_pattern,
 )
 from promforge.errors import NonConvergenceError
 from promforge.newmark import ImplicitModel, TimeHistory, newmark_integrate
@@ -23,7 +22,7 @@ from promforge.rom import (
     rom_model,
 )
 from promforge.sym_tensor import n_unique, unique_position
-from promforge.tensor_id import IdentifiedTensors, identify_eed, plan_scales
+from promforge.tensor_id import IdentifiedTensors, identify_eed
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +30,7 @@ def beam_rom():
     asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 32)
     M, K = asm.mass_matrix(), asm.linear_stiffness()
     w2, phi = sla.eigh(K, M, subset_by_index=[0, 4])
-    scales = plan_scales(phi, asm, 1.0)
+    scales = asm.probe_scales(phi, 1.0)
     tensors = identify_eed(asm.tangent_stiffness, phi, scales, phi.T @ K @ phi)
     alpha, beta = rayleigh_params(np.sqrt(w2[0]), np.sqrt(w2[1]), 0.01)
     ops = RomOperators(
@@ -59,7 +58,7 @@ def test_reduced_force_linear_case(beam_rom):
 def test_reduced_force_matches_black_box(beam_rom):
     asm, ops = beam_rom
     rng = np.random.default_rng(0)
-    s = plan_scales(ops.basis, asm, 1.0)
+    s = asm.probe_scales(ops.basis, 1.0)
     for _ in range(10):
         eta = rng.standard_normal(ops.m) * s
         f_rom = reduced_force(ops, eta)
@@ -84,7 +83,7 @@ def test_reduced_tangent_is_symmetric(beam_rom):
 def test_reduced_tangent_fd_second_order(beam_rom):
     asm, ops = beam_rom
     rng = np.random.default_rng(1)
-    s = plan_scales(ops.basis, asm, 1.0)
+    s = asm.probe_scales(ops.basis, 1.0)
     eta = rng.standard_normal(ops.m) * s
     v = rng.standard_normal(ops.m)
     v /= np.linalg.norm(v)
@@ -439,7 +438,7 @@ def _assert_same_history(hist, ref):
 
 def test_driver_matches_reference_on_nonlinear_rom(beam_rom):
     asm, ops = beam_rom
-    pulse = PulseLoad(pattern=uniform_transverse_pattern(asm), amplitude=4e3, t_pulse=0.02)
+    pulse = PulseLoad(pattern=asm.load_pattern(), amplitude=4e3, t_pulse=0.02)
     dt = (2 * np.pi / ops.omegas[0]) / 100
     hist = newmark_integrate(rom_model(ops, pulse.at), t_span=0.05, dt=dt, kind="rom")
     dense = ImplicitModel(
@@ -457,7 +456,7 @@ def test_driver_matches_reference_on_dense_full_model():
     mass, stiffness = asm.mass_matrix(), asm.linear_stiffness()
     w2 = sla.eigh(stiffness, mass, eigvals_only=True, subset_by_index=[0, 1])
     alpha, beta = rayleigh_params(np.sqrt(w2[0]), np.sqrt(w2[1]), 0.01)
-    pulse = PulseLoad(pattern=uniform_transverse_pattern(asm), amplitude=4e3, t_pulse=0.02)
+    pulse = PulseLoad(pattern=asm.load_pattern(), amplitude=4e3, t_pulse=0.02)
     model = ImplicitModel(
         mass=mass,
         damping=alpha * mass + beta * stiffness,

@@ -15,7 +15,6 @@ from promforge.tensor_id import (
     build_eed_plan,
     identify_ed,
     identify_eed,
-    plan_scales,
 )
 
 SPEC = BeamSpec()
@@ -100,25 +99,32 @@ def test_eed_evaluation_count_audit():
 # ----------------------------------------------------------------------
 # scales
 # ----------------------------------------------------------------------
-def test_plan_scales_reaches_target(beam_setup):
+def test_probe_scales_reach_target(beam_setup):
     asm, V, _ = beam_setup
-    s = plan_scales(V, asm, 1.0)
+    s = asm.probe_scales(V, 1.0)
     for i in range(V.shape[1]):
         w = (s[i] * V[:, i])[asm.transverse_mask]
         np.testing.assert_allclose(np.max(np.abs(w)), SPEC.thickness, rtol=1e-12)
 
 
-def test_plan_scales_doubling(beam_setup):
+def test_probe_scales_doubling(beam_setup):
     asm, V, _ = beam_setup
-    np.testing.assert_allclose(plan_scales(V, asm, 2.0), 2.0 * plan_scales(V, asm, 1.0))
+    np.testing.assert_allclose(asm.probe_scales(V, 2.0), 2.0 * asm.probe_scales(V, 1.0))
 
 
-def test_plan_scales_rejects_zero_column(beam_setup):
+def test_probe_scales_reject_zero_column(beam_setup):
     asm, V, _ = beam_setup
     bad = V.copy()
     bad[asm.transverse_mask, 0] = 0.0
-    with pytest.raises(ValueError):
-        plan_scales(bad, asm, 1.0)
+    with pytest.raises(ValueError, match="no transverse content"):
+        asm.probe_scales(bad, 1.0)
+
+
+@pytest.mark.parametrize("multiple", [0.0, -1.0])
+def test_probe_scales_reject_nonpositive_multiple(beam_setup, multiple):
+    asm, V, _ = beam_setup
+    with pytest.raises(ValueError, match="must be positive"):
+        asm.probe_scales(V, multiple)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +302,7 @@ def test_eed_recovers_synthetic_tensors(m):
 def test_eed_matches_direct_projection(beam_setup):
     asm, V, k1r = beam_setup
     k2u, k3u, _ = reduced_tensors_direct(asm, V)
-    s = plan_scales(V, asm, 1.0)
+    s = asm.probe_scales(V, 1.0)
     eed = identify_eed(asm.tangent_stiffness, V, s, k1r)
     assert np.linalg.norm(eed.k2_unique - k2u) < 1e-8 * np.linalg.norm(k2u)
     assert np.linalg.norm(eed.k3_unique - k3u) < 1e-8 * np.linalg.norm(k3u)
@@ -307,7 +313,7 @@ def test_ed_matches_eed_on_beam(beam_setup):
     asm, V, k1r = beam_setup
     V4 = V[:, :4]
     k1r4 = k1r[:4, :4]
-    s = plan_scales(V4, asm, 1.0)
+    s = asm.probe_scales(V4, 1.0)
     eed = identify_eed(asm.tangent_stiffness, V4, s, k1r4)
     ed = identify_ed(asm.internal_force, V4, s, k1r4)
     assert np.linalg.norm(ed.k2_unique - eed.k2_unique) < 1e-8 * np.linalg.norm(eed.k2_unique)
@@ -317,7 +323,7 @@ def test_ed_matches_eed_on_beam(beam_setup):
 def test_single_mode_ed_closed_form(beam_setup):
     asm, V, k1r = beam_setup
     v1 = V[:, :1]
-    s = plan_scales(v1, asm, 1.0)
+    s = asm.probe_scales(v1, 1.0)
     ed = identify_ed(asm.internal_force, v1, s, k1r[:1, :1])
     assert ed.eval_count == 2
     k2u, k3u, _ = reduced_tensors_direct(asm, v1)
@@ -330,7 +336,7 @@ def test_probe_scale_invariance(beam_setup):
     V4, k1r4 = V[:, :4], k1r[:4, :4]
     ref = None
     for target in (0.5, 1.0, 2.0, 4.0):
-        s = plan_scales(V4, asm, target)
+        s = asm.probe_scales(V4, target)
         eed = identify_eed(asm.tangent_stiffness, V4, s, k1r4)
         if ref is None:
             ref = eed
@@ -345,7 +351,7 @@ def test_probe_scale_invariance(beam_setup):
 
 def test_identified_tensors_reproduce_black_box_force(beam_setup):
     asm, V, k1r = beam_setup
-    s = plan_scales(V, asm, 1.0)
+    s = asm.probe_scales(V, 1.0)
     eed = identify_eed(asm.tangent_stiffness, V, s, k1r)
     m = V.shape[1]
     k2, k3 = full_from_unique(eed.k2_unique, m, 3), full_from_unique(eed.k3_unique, m, 4)
