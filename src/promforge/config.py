@@ -216,10 +216,17 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _reject_unknown(section: str, payload: dict, known) -> None:
+    unknown = set(payload) - set(known)
+    if unknown:
+        raise ValueError(f"unknown keys in section '{section}': {sorted(unknown)}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
     data = dict(data or {})
     kwargs = {}
     bounds = data.pop("bounds", {})
+    _reject_unknown("bounds", bounds, ("p1", "p2"))
     if "p1" in bounds:
         kwargs["bounds_p1"] = tuple(float(x) for x in bounds["p1"])
     if "p2" in bounds:
@@ -228,9 +235,7 @@ def config_from_dict(data: dict) -> RunConfig:
         if section in data:
             payload = dict(data.pop(section))
             fields = cls.__dataclass_fields__
-            unknown = set(payload) - set(fields)
-            if unknown:
-                raise ValueError(f"unknown keys in section '{section}': {sorted(unknown)}")
+            _reject_unknown(section, payload, fields)
             for key, value in payload.items():
                 # YAML reads exponents without a sign (1.0e6) as strings
                 if isinstance(value, str) and isinstance(fields[key].default, (int, float)):
@@ -240,6 +245,7 @@ def config_from_dict(data: dict) -> RunConfig:
         kwargs["monitors"] = tuple(data.pop("monitors"))
     if "output" in data:
         out = data.pop("output")
+        _reject_unknown("output", out, ("directory",))
         if "directory" in out:
             kwargs["output_directory"] = str(out["directory"])
     if data:
@@ -250,7 +256,10 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path, overrides=()) -> RunConfig:
     """Read a YAML run configuration and apply `a.b.c=value` overrides to it."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
     return config_from_dict(apply_overrides(data, overrides))
 
 
@@ -262,7 +271,10 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             raise ValueError(f"override {item!r} is not of the form path=value")
         path, raw = item.split("=", 1)
         keys = path.strip().split(".")
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"override {item!r} is not valid YAML: {exc}") from exc
         node = data
         for key in keys[:-1]:
             node = node.setdefault(key, {})

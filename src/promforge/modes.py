@@ -67,6 +67,7 @@ class CompanionSet:
 
     vectors: np.ndarray  # (n, n_companions)
     kind: str  # "smd" | "dual"
+    static_solves: int = 0  # nonlinear static solves made to compute them
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -215,4 +216,4 @@ def compute_dual_modes(
     snapshots = snapshots[:, keep] / norms[keep]
 
     vectors, _, _, _ = pod_truncate(snapshots, energy_threshold)
-    return CompanionSet(vectors=fix_signs(vectors), kind="dual")
+    return CompanionSet(vectors=fix_signs(vectors), kind="dual", static_solves=len(residuals))

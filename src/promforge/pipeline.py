@@ -166,10 +166,7 @@ def _sample_ingredients(cfg: RunConfig, assembly, counters):
             energy_threshold=cfg.basis.dual_pod_energy,
             include_pairs=cfg.basis.dual_pairs,
         )
-        n_directions = selected.n_modes
-        if cfg.basis.dual_pairs:
-            n_directions += selected.n_modes * (selected.n_modes - 1) // 2
-        counters["dual_static_solves"] += 2 * n_directions
+        counters["dual_static_solves"] += companions.static_solves
 
     fe_omegas = all_modes.omegas[:2]
     return mass, stiffness, selected, companions, fe_omegas

@@ -1,6 +1,7 @@
 """Non-intrusive identification of reduced nonlinear stiffness tensors.
 
-Two routes with the same output contract:
+Two routes with the same output contract.  Each runs its `probe_plan`, one
+black-box call per row, and extracts by the plan's phase slices:
 
 * tangent-based: project the black-box tangent stiffness at imposed
   displacements along single and paired basis directions (2m + m(m-1)/2
@@ -30,13 +31,7 @@ import numpy as np
 
 from .sym_tensor import n_unique, symmetrize, unique_position
 
-__all__ = [
-    "IdentifiedTensors",
-    "build_eed_plan",
-    "build_ed_plan",
-    "identify_eed",
-    "identify_ed",
-]
+__all__ = ["IdentifiedTensors", "probe_plan", "identify_eed", "identify_ed"]
 
 
 @dataclass
@@ -69,54 +64,75 @@ class IdentifiedTensors:
         )
 
 
-def _pair_scale(scales: list[float], idx) -> float:
-    """Smallest of the directions' scales; a min is exact, so a Python list does."""
-    return min([scales[i] for i in idx])
+# Probe phases per route: (directions per probe, sign patterns on them).
+_PHASES = {
+    "eed": ((1, ((1.0,), (-1.0,))), (2, ((1.0, 1.0),))),
+    "ed": ((1, ((1.0,), (-1.0,))), (2, ((1.0, 1.0), (1.0, -1.0))), (3, ((1.0, 1.0, 1.0),))),
+}
 
 
-def _single_probes(m: int, scales: np.ndarray) -> list[tuple]:
-    """The +/- probe along each basis vector that both plans start with."""
-    plan = []
-    for i in range(m):
-        for sign in (+1.0, -1.0):
-            eta = np.zeros(m)
-            eta[i] = sign * scales[i]
-            plan.append((("single", i, sign), eta))
-    return plan
+def _tuples(m: int, r: int) -> np.ndarray:
+    """The C(m, r) sorted direction tuples, one row each, in `combinations` order."""
+    return np.array(list(combinations(range(m), r)), dtype=np.int64).reshape(-1, r)
 
 
-def build_eed_plan(m: int, scales) -> list[tuple]:
-    """Probe labels/coordinates for tangent-based identification."""
+def _scale_direction(scales, tuples) -> np.ndarray:
+    """Per index tuple, the direction whose scale is its probe's: the smallest."""
+    return tuples[np.arange(len(tuples)), np.argmin(scales[tuples], axis=1)]
+
+
+def _powers(scales, p: int) -> np.ndarray:
+    """Per-direction `scale**p` from Python's `**`: numpy's array power
+    differs from it in the last bit for some inputs."""
+    return np.array([float(s) ** p for s in scales])
+
+
+def probe_plan(m: int, scales, method: str) -> np.ndarray:
+    """Reduced coordinates of every probe, one row per FE call, in evaluation order.
+
+    Both routes start with +s, then -s, along each direction.  "eed" then
+    puts s on both directions of each pair; "ed" puts s on the first and
+    +/-s on the second direction of each pair, then s on all three
+    directions of each triple.  A probe's s is the smallest of its
+    directions' `scales`.
+    """
     scales = np.asarray(scales, dtype=float)
-    listed = scales.tolist()
-    plan = _single_probes(m, scales)
-    for i, j in combinations(range(m), 2):
-        s = _pair_scale(listed, (i, j))
-        eta = np.zeros(m)
-        eta[i] = s
-        eta[j] = s
-        plan.append((("pair", i, j), eta))
-    return plan
+    if method not in _PHASES:
+        raise ValueError(f"unknown identification method {method!r}")
+    blocks = []
+    for r, signs in _PHASES[method]:
+        tuples = _tuples(m, r)
+        s = scales[_scale_direction(scales, tuples), None]
+        block = np.zeros((len(tuples), len(signs), m))
+        for k, sign in enumerate(signs):
+            block[np.arange(len(tuples))[:, None], k, tuples] = s * np.array(sign)
+        blocks.append(block.reshape(-1, m))
+    return np.concatenate(blocks)
 
 
-def build_ed_plan(m: int, scales) -> list[tuple]:
-    """Probe labels/coordinates for force-based identification."""
+def _probe(fe_fn, basis, scales, k1_reduced, method: str):
+    """Run the route's probe plan: one `fe_fn` call per row, each checked
+    finite and reduced (Vᵀ K V for "eed", Vᵀ f for "ed").
+
+    Returns the checked scales and reduced stiffness, and the reduced
+    responses stacked along a leading probe axis in plan order.
+    """
+    basis = np.asarray(basis, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    listed = scales.tolist()
-    plan = _single_probes(m, scales)
-    for i, j in combinations(range(m), 2):
-        s = _pair_scale(listed, (i, j))
-        for sign in (+1.0, -1.0):
-            eta = np.zeros(m)
-            eta[i] = s
-            eta[j] = sign * s
-            plan.append((("pair", i, j, sign), eta))
-    for i, j, k in combinations(range(m), 3):
-        s = _pair_scale(listed, (i, j, k))
-        eta = np.zeros(m)
-        eta[[i, j, k]] = s
-        plan.append((("triple", i, j, k), eta))
-    return plan
+    k1_reduced = np.asarray(k1_reduced, dtype=float)
+    m = basis.shape[1]
+    if scales.shape != (m,) or k1_reduced.shape != (m, m):
+        raise ValueError("scales / reduced stiffness do not match the basis width")
+    reduced = []
+    for row, eta in enumerate(probe_plan(m, scales, method)):
+        out = fe_fn(basis @ eta)
+        if not np.isfinite(out).all():
+            directions = " ".join(f"{'+' if eta[i] > 0 else '-'}{i}" for i in np.flatnonzero(eta))
+            raise ValueError(
+                f"non-finite {method} evaluation at probe {row}, directions {directions}"
+            )
+        reduced.append(basis.T @ out @ basis if method == "eed" else basis.T @ out)
+    return scales, k1_reduced, np.array(reduced)
 
 
 def identify_eed(tangent_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTensors:
@@ -125,51 +141,34 @@ def identify_eed(tangent_fn, basis: np.ndarray, scales, k1_reduced) -> Identifie
     `tangent_fn` maps a full-order displacement vector to the tangent
     stiffness matrix.  Exactly 2m + m(m-1)/2 evaluations are performed.
     """
-    basis = np.asarray(basis, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    k1_reduced = np.asarray(k1_reduced, dtype=float)
-    m = basis.shape[1]
-    if scales.shape != (m,) or k1_reduced.shape != (m, m):
-        raise ValueError("scales / reduced stiffness do not match the basis width")
-    plan = build_eed_plan(m, scales)
+    scales, k1_reduced, reduced = _probe(tangent_fn, basis, scales, k1_reduced, "eed")
+    m, sq = len(scales), _powers(scales, 2)
 
-    reduced = {}
-    for label, eta in plan:
-        kt = tangent_fn(basis @ eta)
-        if not np.isfinite(kt).all():
-            raise ValueError(f"non-finite tangent evaluation at probe {label}")
-        reduced[label] = basis.T @ kt @ basis
+    # singles: slices [direction i, a, b] of K2[a, b, i] and K3[a, b, i, i]
+    plus, minus = reduced[: 2 * m : 2], reduced[1 : 2 * m : 2]
+    k2_slices = (plus - minus) / (4.0 * scales)[:, None, None]
+    diagonal = (plus + minus - 2.0 * k1_reduced) / (6.0 * sq)[:, None, None]
 
-    k2_raw = np.zeros((m, m, m))
-    k3_raw = np.zeros((m, m, m, m))
-    for i in range(m):
-        a_p = reduced[("single", i, +1.0)]
-        a_m = reduced[("single", i, -1.0)]
-        k2_raw[:, :, i] = (a_p - a_m) / (4.0 * scales[i])
-        k3_raw[:, :, i, i] = (a_p + a_m - 2.0 * k1_reduced) / (6.0 * scales[i] ** 2)
-    listed = scales.tolist()
-    for i, j in combinations(range(m), 2):
-        s = _pair_scale(listed, (i, j))
-        b = reduced[("pair", i, j)]
-        cross = (
-            b
-            - k1_reduced
-            - 2.0 * s * (k2_raw[:, :, i] + k2_raw[:, :, j])
-            - 3.0 * s**2 * (k3_raw[:, :, i, i] + k3_raw[:, :, j, j])
-        ) / (6.0 * s**2)
-        k3_raw[:, :, i, j] = cross
-        k3_raw[:, :, j, i] = cross
+    # pairs: the mixed slice K3[a, b, i, j] = K3[a, b, j, i]
+    pairs = _tuples(m, 2)
+    d = _scale_direction(scales, pairs)
+    s, s2 = scales[d, None, None], sq[d, None, None]
+    i, j = pairs.T
+    cross = (
+        reduced[2 * m :]
+        - k1_reduced
+        - 2.0 * s * (k2_slices[i] + k2_slices[j])
+        - 3.0 * s2 * (diagonal[i] + diagonal[j])
+    ) / (6.0 * s2)
+    k3_slices = np.zeros((m, m, m, m))  # [i, j, a, b]
+    k3_slices[np.arange(m), np.arange(m)] = diagonal
+    k3_slices[i, j] = k3_slices[j, i] = cross
 
-    k2u, asym2 = symmetrize(k2_raw)
-    k3u, asym3 = symmetrize(k3_raw)
+    k2u, asym2 = symmetrize(k2_slices.transpose(1, 2, 0))
+    k3u, asym3 = symmetrize(k3_slices.transpose(2, 3, 0, 1))
     return IdentifiedTensors(
-        m=m,
-        k2_unique=k2u,
-        k3_unique=k3u,
-        method="eed",
-        scales=scales,
-        asymmetry=max(asym2, asym3),
-        eval_count=len(plan),
+        m=m, k2_unique=k2u, k3_unique=k3u, method="eed",
+        scales=scales, asymmetry=max(asym2, asym3), eval_count=len(reduced),
     )
 
 
@@ -186,11 +185,6 @@ def _first_write(store, slots, values) -> float:
     return float(np.abs(store[slots] - values).max(initial=0.0))
 
 
-def _scale_direction(scales, tuples) -> np.ndarray:
-    """Per index tuple, the direction whose scale is its probe's (see `_pair_scale`)."""
-    return tuples[np.arange(len(tuples)), np.argmin(scales[tuples], axis=1)]
-
-
 def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTensors:
     """Identify the nonlinear tensors from black-box internal-force evaluations.
 
@@ -198,31 +192,15 @@ def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTe
     Exactly 2m + 2*C(m,2) + C(m,3) evaluations are performed; the reduced
     pair probes rely on full index symmetry of the tensors.
     """
-    basis = np.asarray(basis, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    k1_reduced = np.asarray(k1_reduced, dtype=float)
-    m = basis.shape[1]
-    if scales.shape != (m,) or k1_reduced.shape != (m, m):
-        raise ValueError("scales / reduced stiffness do not match the basis width")
-    plan = build_ed_plan(m, scales)
-
-    probes = []
-    for label, eta in plan:
-        f = force_fn(basis @ eta)
-        if not np.isfinite(f).all():
-            raise ValueError(f"non-finite force evaluation at probe {label}")
-        probes.append(basis.T @ f)
+    scales, k1_reduced, probes = _probe(force_fn, basis, scales, k1_reduced, "ed")
 
     # Each phase below is one array step over its probes (rows) and output
     # components a (columns), using only entries earlier phases wrote.  A
     # probe's scale is the smallest of its directions' `scales`, so its square
-    # and cube are gathered from per-direction ones that Python's `**` gives:
-    # numpy's array power differs from it in the last bit for some inputs.
-    pairs, triples = (
-        np.array(list(combinations(range(m), r)), dtype=np.int64).reshape(-1, r) for r in (2, 3)
-    )
-    n_pairs, a = len(pairs), np.arange(m)
-    sq, cu = (np.array([float(s) ** p for s in scales]) for p in (2, 3))
+    # and cube are gathered per direction (`_powers`).
+    m = len(scales)
+    pairs, triples, a = _tuples(m, 2), _tuples(m, 3), np.arange(m)
+    n_pairs, sq, cu = len(pairs), _powers(scales, 2), _powers(scales, 3)
     pos2, pos3 = unique_position(m, 3), unique_position(m, 4)
     k2, k3 = np.full(n_unique(m, 3), np.nan), np.full(n_unique(m, 4), np.nan)
 
@@ -232,7 +210,6 @@ def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTe
     def cub(*idx):
         return k3[pos3[idx]]
 
-    probes = np.array(probes)
     plus_minus = probes[: 2 * m + 2 * n_pairs].reshape(-1, 2, m)
     even = 0.5 * (plus_minus[:, 0] + plus_minus[:, 1])
     odd = 0.5 * (plus_minus[:, 0] - plus_minus[:, 1])
@@ -294,5 +271,5 @@ def identify_ed(force_fn, basis: np.ndarray, scales, k1_reduced) -> IdentifiedTe
     )
     return IdentifiedTensors(
         m=m, k2_unique=k2, k3_unique=k3, method="ed",
-        scales=scales, asymmetry=float(asym), eval_count=len(plan),
+        scales=scales, asymmetry=float(asym), eval_count=len(probes),
     )

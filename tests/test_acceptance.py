@@ -33,7 +33,7 @@ from promforge.rom import (
     reduced_tangent,
     rom_model,
 )
-from promforge.tensor_id import build_eed_plan, identify_ed, identify_eed
+from promforge.tensor_id import identify_ed, identify_eed, probe_plan
 
 
 def _ok(criterion, detail):
@@ -88,7 +88,7 @@ def test_criterion_1_oracle_tensor_equivalence():
 # ----------------------------------------------------------------------
 def test_criterion_2_evaluation_counts():
     for m, expected in ((23, 299), (10, 65)):
-        assert len(build_eed_plan(m, np.ones(m))) == expected
+        assert len(probe_plan(m, np.ones(m), "eed")) == expected
         n = m + 10
         rng = np.random.default_rng(m)
         q, _ = np.linalg.qr(rng.standard_normal((n, m)))

@@ -48,6 +48,15 @@ def test_rejects_unknown_keys():
 
 
 @pytest.mark.parametrize(
+    "data, section",
+    [({"bounds": {"P1": [5, 6], "p3": [0, 1]}}, "bounds"), ({"output": {"dir": "x"}}, "output")],
+)
+def test_rejects_unknown_bounds_and_output_keys(data, section):
+    with pytest.raises(ValueError, match=f"unknown keys in section '{section}'"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
     "patch",
     [
         {"bounds": {"p1": [1.5, 0.75]}},

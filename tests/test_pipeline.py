@@ -487,3 +487,16 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = cli_main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "missing")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [("sampling: [1, 2", []), ("{}", ["--set", "sampling.n_train=["])],
+    ids=["config-file", "override"],
+)
+def test_cli_reports_malformed_yaml(tmp_path, capsys, text, extra):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(text)
+    rc = cli_main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.direct_tensors import reduced_tensors_direct
 from promforge.sym_tensor import full_from_unique, sorted_multi_indices, symmetrize
-from promforge.tensor_id import (
-    IdentifiedTensors,
-    build_ed_plan,
-    build_eed_plan,
-    identify_ed,
-    identify_eed,
-)
+from promforge.tensor_id import IdentifiedTensors, identify_ed, identify_eed, probe_plan
 
 SPEC = BeamSpec()
 
@@ -66,16 +60,31 @@ class SyntheticCubicModel:
 # ----------------------------------------------------------------------
 def test_eed_plan_counts():
     for m, expected in ((23, 299), (10, 65), (4, 14)):
-        plan = build_eed_plan(m, np.ones(m))
-        assert len(plan) == expected == 2 * m + m * (m - 1) // 2
+        plan = probe_plan(m, np.ones(m), "eed")
+        assert plan.shape == (expected, m) and expected == 2 * m + m * (m - 1) // 2
 
 
 def test_ed_plan_counts():
     from math import comb
 
     for m in (1, 2, 4, 6):
-        plan = build_ed_plan(m, np.ones(m))
-        assert len(plan) == 2 * m + 2 * comb(m, 2) + comb(m, 3)
+        plan = probe_plan(m, np.ones(m), "ed")
+        assert plan.shape == (2 * m + 2 * comb(m, 2) + comb(m, 3), m)
+
+
+def test_probe_plan_order_and_scales():
+    # singles +/-, then pairs (and for ed, triples); each probe takes the
+    # smallest of its directions' scales
+    singles = [[3, 0, 0], [-3, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 2], [0, 0, -2]]
+    eed = probe_plan(3, [3.0, 1.0, 2.0], "eed")
+    np.testing.assert_array_equal(eed, singles + [[1, 1, 0], [2, 0, 2], [0, 1, 1]])
+    ed = probe_plan(3, [3.0, 1.0, 2.0], "ed")
+    np.testing.assert_array_equal(
+        ed,
+        singles + [[1, 1, 0], [1, -1, 0], [2, 0, 2], [2, 0, -2], [0, 1, 1], [0, 1, -1], [1, 1, 1]],
+    )
+    with pytest.raises(ValueError, match="unknown identification method"):
+        probe_plan(3, np.ones(3), "direct")
 
 
 def test_eed_evaluation_count_audit():
@@ -183,11 +192,23 @@ def test_identification_recovers_random_cubic_models(case):
         assert tensors.asymmetry < 1e-9, tensors.method
 
 
+def _coordinates(m, *terms):
+    """Reduced probe coordinates from (direction, coordinate) pairs; the
+    references build their own probes rather than read `probe_plan`."""
+    eta = np.zeros(m)
+    for i, value in terms:
+        eta[i] = value
+    return eta
+
+
 def _identify_ed_scalar(force_fn, scales, k1):
     """Reference: the force-based extraction one entry at a time, with the
     same fixed order and first-write-wins store (identity basis)."""
     m = len(scales)
-    probes = {label: force_fn(eta) for label, eta in build_ed_plan(m, scales)}
+
+    def probe(*terms):
+        return force_fn(_coordinates(m, *terms))
+
     stores = ({}, {})  # k2, k3: sorted index tuple -> value
     deviations = ([], [])
 
@@ -203,15 +224,15 @@ def _identify_ed_scalar(force_fn, scales, k1):
         return stores[len(key) - 3][tuple(sorted(key))]
 
     for i in range(m):
-        p, n = probes[("single", i, 1.0)], probes[("single", i, -1.0)]
         s = scales[i]
+        p, n = probe((i, s)), probe((i, -s))
         for a in range(m):
             put((a, i, i), 0.5 * (p[a] + n[a]) / s**2)
             put((a, i, i, i), (0.5 * (p[a] - n[a]) - s * k1[a, i]) / s**3)
     combos = {}
     for i, j in combinations(range(m), 2):
         s = float(min(scales[i], scales[j]))
-        p, n = probes[("pair", i, j, 1.0)], probes[("pair", i, j, -1.0)]
+        p, n = probe((i, s), (j, s)), probe((i, s), (j, -s))
         for a in range(m):
             even, odd = 0.5 * (p[a] + n[a]), 0.5 * (p[a] - n[a])
             put(
@@ -232,7 +253,7 @@ def _identify_ed_scalar(force_fn, scales, k1):
             put((i, i, j, k), (combo - 2.0 * s**2 * x) / (3.0 * s**3))
     for i, j, k in combinations(range(m), 3):
         s = float(min(scales[i], scales[j], scales[k]))
-        t = probes[("triple", i, j, k)]
+        t = probe((i, s), (j, s), (k, s))
         for a in range(m):
             known = s * (k1[a, i] + k1[a, j] + k1[a, k])
             known += s**2 * (
@@ -284,6 +305,77 @@ def test_ed_consistency_residual_scales_with_broken_symmetry():
 
     asym_small, asym_large = asymmetry(1e-6), asymmetry(1e-3)
     assert asym_large == pytest.approx(1e3 * asym_small, rel=1e-3)
+
+
+def _identify_eed_loops(tangent_fn, basis, scales, k1):
+    """Reference: the tangent-based extraction one slice at a time, probing
+    each direction and direction pair in its own loop."""
+    m = len(scales)
+
+    def probe(*terms):
+        return basis.T @ tangent_fn(basis @ _coordinates(m, *terms)) @ basis
+
+    k2_raw = np.zeros((m, m, m))
+    k3_raw = np.zeros((m, m, m, m))
+    for i in range(m):
+        a_p, a_m = probe((i, scales[i])), probe((i, -scales[i]))
+        k2_raw[:, :, i] = (a_p - a_m) / (4.0 * scales[i])
+        k3_raw[:, :, i, i] = (a_p + a_m - 2.0 * k1) / (6.0 * scales[i] ** 2)
+    for i, j in combinations(range(m), 2):
+        s = float(min(scales[i], scales[j]))
+        cross = (
+            probe((i, s), (j, s))
+            - k1
+            - 2.0 * s * (k2_raw[:, :, i] + k2_raw[:, :, j])
+            - 3.0 * s**2 * (k3_raw[:, :, i, i] + k3_raw[:, :, j, j])
+        ) / (6.0 * s**2)
+        k3_raw[:, :, i, j] = cross
+        k3_raw[:, :, j, i] = cross
+    (k2u, asym2), (k3u, asym3) = symmetrize(k2_raw), symmetrize(k3_raw)
+    return k2u, k3u, max(asym2, asym3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_eed_matches_loop_reference_bit_for_bit(m):
+    model = SyntheticCubicModel(m, seed=40 + m)
+    model.k3[0, -1, 0, min(2, m - 1)] += 1e-3  # raw slices differ from their mean
+    scales = np.random.default_rng(m).uniform(0.2, 3.0, m)
+    k2u, k3u, asym = _identify_eed_loops(model.tangent, np.eye(m), scales, model.k1)
+    eed = identify_eed(model.tangent, np.eye(m), scales, model.k1)
+    np.testing.assert_array_equal(eed.k2_unique, k2u)
+    np.testing.assert_array_equal(eed.k3_unique, k3u)
+    assert eed.asymmetry == asym
+
+
+def test_eed_matches_loop_reference_on_beam(beam_setup):
+    asm, V, k1r = beam_setup
+    s = asm.probe_scales(V, 1.0)
+    k2u, k3u, asym = _identify_eed_loops(asm.tangent_stiffness, V, s, k1r)
+    eed = identify_eed(asm.tangent_stiffness, V, s, k1r)
+    np.testing.assert_array_equal(eed.k2_unique, k2u)
+    np.testing.assert_array_equal(eed.k3_unique, k3u)
+    assert eed.asymmetry == asym
+
+
+@pytest.mark.parametrize(
+    "method, bad, message",
+    [
+        ("eed", [0.0, 0.7, 0.7], r"eed evaluation at probe 8, directions \+1 \+2"),
+        ("ed", [0.7, 0.0, -0.7], r"ed evaluation at probe 9, directions \+0 -2"),
+    ],
+)
+def test_non_finite_probe_is_named(method, bad, message):
+    # the black box fails at one pair probe only; the error names that probe
+    model = SyntheticCubicModel(3, seed=5)
+    respond = model.tangent if method == "eed" else model.force
+
+    def black_box(q):
+        out = respond(q)
+        return np.full_like(out, np.nan) if np.array_equal(q, bad) else out
+
+    identify = identify_eed if method == "eed" else identify_ed
+    with pytest.raises(ValueError, match=message):
+        identify(black_box, np.eye(3), np.full(3, 0.7), model.k1)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
