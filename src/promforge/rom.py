@@ -152,5 +152,5 @@ def rom_model(ops: RomOperators, load_fn) -> ImplicitModel:
         damping=assemble_damping(ops),
         force=lambda eta: reduced_force(ops, eta),
         tangent=lambda eta: reduced_tangent(ops, eta),
-        load=lambda t: vt @ load_fn(t),
+        load=lambda t: vt.dot(load_fn(t)),
     )

@@ -117,20 +117,20 @@ def pair_matrix(values: np.ndarray, m: int, order: int) -> np.ndarray:
 
 def force_quadratic(t2: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """f_a = K2_{ajk} eta_j eta_k = T_{ak} eta_k from T = tangent_quadratic(P2, eta)."""
-    return t2 @ eta
+    return t2.dot(eta)
 
 
 def force_cubic(t3: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """f_a = K3_{ajkl} eta_j eta_k eta_l = T_{al} eta_l from T = tangent_cubic(P3, eta)."""
-    return t3 @ eta
+    return t3.dot(eta)
 
 
 def tangent_quadratic(p2: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """d/d eta of the quadratic force divided by 2: K2_{abk} eta_k, from P2."""
-    return (p2 @ eta)[unique_position(p2.shape[1], 2)]
+    return p2.dot(eta)[unique_position(p2.shape[1], 2)]
 
 
 def tangent_cubic(p3: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """d/d eta of the cubic force divided by 3: K3_{abkl} eta_k eta_l, from P3."""
     a, b = _pairs(eta.size)
-    return (p3 @ (eta[a] * eta[b]))[unique_position(eta.size, 2)]
+    return p3.dot(eta[a] * eta[b])[unique_position(eta.size, 2)]

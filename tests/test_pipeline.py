@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from promforge import beam_fe, pipeline
+from promforge import beam_fe, newmark, pipeline
 from promforge.beam_fe import PulseLoad
 from promforge.cli import main as cli_main
 from promforge.config import config_from_dict
@@ -359,6 +359,20 @@ def test_benchmark_keeps_a_recomputed_matching_failure_per_point(monkeypatch, pi
         assert set(fails) == {"recomputed"}
         assert "DuplicateAssignmentError" in fails["recomputed"]
         assert set(per_point) == set(MODEL_KINDS) - {"recomputed"}
+
+
+def test_benchmark_records_a_singular_newton_matrix_per_model(monkeypatch, pipeline_result):
+    cfg, db, _ = pipeline_result
+
+    def singular(matrix, rhs):
+        return matrix, None, rhs, 1  # LAPACK info > 0: a zero pivot
+
+    monkeypatch.setattr(newmark, "dgesv", singular)
+    report = run_benchmark(db, cfg)
+    for per_point, fails in zip(report.histories, report.failures):
+        assert not per_point and set(fails) == set(MODEL_KINDS)
+        for failure in fails.values():
+            assert failure.startswith("NonConvergenceError: Newmark Newton matrix is singular at step 1")
 
 
 def test_benchmark_isolates_surrogate_failures():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgesv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,6 +366,23 @@ def test_newmark_reports_divergence_step():
     assert err.value.context["step"] >= 1
 
 
+def test_newmark_names_the_step_of_a_singular_newton_matrix():
+    # tangent = -c0 I and no damping: the Newton matrix c0 M + c1 C + tangent is zero
+    dt = 0.05
+    c0 = 1.0 / (0.25 * dt**2)
+    bad = ImplicitModel(
+        mass=np.eye(2),
+        damping=np.zeros((2, 2)),
+        force=lambda q: -c0 * q,
+        tangent=lambda q: -c0 * np.eye(2),
+        load=lambda t: np.array([1.0, t]),
+    )
+    with pytest.raises(NonConvergenceError, match="singular at step 1") as err:
+        newmark_integrate(bad, t_span=0.1, dt=dt)
+    assert err.value.context == {"step": 1, "time": dt}
+    assert err.value.residual > 0.0
+
+
 @pytest.mark.parametrize("beta", [0.0, -0.25])
 def test_newmark_rejects_nonpositive_beta(beta):
     # beta = 0 used to raise ZeroDivisionError
@@ -372,9 +390,14 @@ def test_newmark_rejects_nonpositive_beta(beta):
         newmark_integrate(_sdof_model(), t_span=0.1, dt=0.05, beta=beta)
 
 
-def _newmark_reference(model, t_span, dt, gamma=0.5, beta=0.25,
+def _newmark_reference(model, t_span, dt, gamma=0.5, beta=0.25, start="extrapolated",
                        newton_tol_rel=1e-8, newton_tol_abs=0.0, newton_max_iterations=20):
-    """Dense-matrix Newmark loop, kept as the reference the driver must match bit for bit."""
+    """Dense-matrix Newmark loop, kept as the reference the driver must match bit for bit.
+
+    `start` picks the first Newton iterate's acceleration: "extrapolated"
+    (the driver's, quadratic in the last three accelerations) or "constant"
+    (the last acceleration).
+    """
     d = model.size
     n_steps = max(1, int(np.ceil(t_span / dt - 1e-12)))
     time = dt * np.arange(n_steps + 1)
@@ -393,7 +416,13 @@ def _newmark_reference(model, t_span, dt, gamma=0.5, beta=0.25,
         p_new = model.load(time[k + 1])
         q_pred = q[k] + dt * v[k] + dt**2 * (0.5 - beta) * a[k]
         v_pred = v[k] + dt * (1.0 - gamma) * a[k]
-        q_new = q_pred + dt**2 * beta * a[k]
+        if start == "constant" or k == 0:
+            a_start = a[k]
+        elif k == 1:
+            a_start = 2.0 * a[1] - a[0]
+        else:
+            a_start = 3.0 * (a[k] - a[k - 1]) + a[k - 2]
+        q_new = q_pred + dt**2 * beta * a_start
         converged = False
         for it in range(newton_max_iterations):
             a_new = c0 * (q_new - q_pred)
@@ -412,14 +441,16 @@ def _newmark_reference(model, t_span, dt, gamma=0.5, beta=0.25,
             if r_norm <= newton_tol_abs + newton_tol_rel * max(ref, 1e-30):
                 converged = True
                 break
-            q_new = q_new - np.linalg.solve(lhs + model.tangent(q_new), r)
+            _, _, dq, info = dgesv(lhs + model.tangent(q_new), r)
+            assert info == 0
+            q_new = q_new - dq
             if not np.all(np.isfinite(q_new)):
                 break
         assert converged
         corrections[k] = it
         residuals[k] = r_norm
         q[k + 1] = q_new
-        v[k + 1] = v_pred + gamma * dt * c0 * (q_new - q_pred)
+        v[k + 1] = v_pred + gamma * dt * (c0 * (q_new - q_pred))
         a[k + 1] = c0 * (q_new - q_pred)
     return TimeHistory(
         time=time, displacement=q, velocity=v, acceleration=a,
@@ -436,11 +467,11 @@ def _assert_same_history(hist, ref):
     assert np.any(ref.meta["newton_corrections"] >= 2)  # the Newton loop iterated
 
 
-def test_driver_matches_reference_on_nonlinear_rom(beam_rom):
+def _nonlinear_rom_case(beam_rom):
+    """(driver model, dense reference model, t_span, dt) of the beam ROM under a pulse."""
     asm, ops = beam_rom
     pulse = PulseLoad(pattern=asm.load_pattern(), amplitude=4e3, t_pulse=0.02)
     dt = (2 * np.pi / ops.omegas[0]) / 100
-    hist = newmark_integrate(rom_model(ops, pulse.at), t_span=0.05, dt=dt, kind="rom")
     dense = ImplicitModel(
         mass=np.eye(ops.m),
         damping=np.diag(assemble_damping(ops)),
@@ -448,10 +479,11 @@ def test_driver_matches_reference_on_nonlinear_rom(beam_rom):
         tangent=lambda eta: _unfused_tangent(ops, eta),
         load=lambda t: ops.basis.T @ pulse.at(t),
     )
-    _assert_same_history(hist, _newmark_reference(dense, 0.05, dt))
+    return rom_model(ops, pulse.at), dense, 0.05, dt
 
 
-def test_driver_matches_reference_on_dense_full_model():
+def _dense_full_model_case():
+    """(driver model, dense reference model, t_span, dt) of a coarse beam under a pulse."""
     asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 8)
     mass, stiffness = asm.mass_matrix(), asm.linear_stiffness()
     w2 = sla.eigh(stiffness, mass, eigvals_only=True, subset_by_index=[0, 1])
@@ -464,9 +496,37 @@ def test_driver_matches_reference_on_dense_full_model():
         tangent=asm.tangent_stiffness,
         load=pulse.at,
     )
-    dt = (2 * np.pi / np.sqrt(w2[0])) / 100
-    hist = newmark_integrate(model, t_span=0.02, dt=dt, kind="hfm")
-    _assert_same_history(hist, _newmark_reference(model, 0.02, dt))
+    return model, model, 0.02, (2 * np.pi / np.sqrt(w2[0])) / 100
+
+
+def test_driver_matches_reference_on_nonlinear_rom(beam_rom):
+    model, dense, t_span, dt = _nonlinear_rom_case(beam_rom)
+    hist = newmark_integrate(model, t_span=t_span, dt=dt, kind="rom")
+    _assert_same_history(hist, _newmark_reference(dense, t_span, dt))
+
+
+def test_driver_matches_reference_on_dense_full_model():
+    model, dense, t_span, dt = _dense_full_model_case()
+    hist = newmark_integrate(model, t_span=t_span, dt=dt, kind="hfm")
+    _assert_same_history(hist, _newmark_reference(dense, t_span, dt))
+
+
+@pytest.mark.parametrize("case", ["rom", "full"])
+def test_extrapolated_start_moves_histories_only_within_the_newton_tolerance(case, beam_rom):
+    # both start guesses converge to each step's solution up to the 1e-8
+    # relative residual test, so each step may move the history by about that
+    # much, and the moves add up at most step by step; the extrapolated start
+    # needs fewer corrections
+    model, dense, t_span, dt = (
+        _nonlinear_rom_case(beam_rom) if case == "rom" else _dense_full_model_case()
+    )
+    hist = newmark_integrate(model, t_span=t_span, dt=dt)
+    constant = _newmark_reference(dense, t_span, dt, start="constant")
+    bound = (hist.time.size - 1) * 1e-8
+    for name in ("displacement", "velocity"):
+        moved, ref = getattr(hist, name), getattr(constant, name)
+        assert np.max(np.abs(moved - ref)) <= bound * np.max(np.abs(ref)), name
+    assert hist.meta["newton_corrections"].sum() < constant.meta["newton_corrections"].sum()
 
 
 # ----------------------------------------------------------------------
