@@ -10,8 +10,8 @@ The rest of the pipeline sees the structure only through eight members of
 `CurvedBeamAssembly`: `n`, `mass_matrix()`, `linear_stiffness()`,
 `internal_force(q)`, `tangent_stiffness(q)`, `probe_scales(vectors,
 multiple)`, `load_pattern()` and `monitor_dofs(monitors)`.  Every geometry
-rule (thickness, transverse DOFs, node positions) stays behind them;
-nothing outside the test suite may rely on element-level internals.
+rule (thickness, transverse DOFs, node positions) stays behind them; only
+the test suite reads element-level internals.
 """
 
 from __future__ import annotations
@@ -282,33 +282,28 @@ class CurvedBeamAssembly:
     # black-box evaluations
     # ------------------------------------------------------------------
     @cached_property
-    def _mass_full(self) -> np.ndarray:
-        m_el = self._rhoA * (
-            np.einsum("eg,egi,egj->eij", self._wq, self._rows_nu, self._rows_nu)
-            + np.einsum("eg,egi,egj->eij", self._wq, self._rows_nw, self._rows_nw)
-        )
+    def _mass(self) -> np.ndarray:
+        m_el = self._rhoA * (_gram(self._wq, self._rows_nu) + _gram(self._wq, self._rows_nw))
         return self._scatter_matrix(m_el)
 
     @cached_property
-    def _k1_full(self) -> np.ndarray:
-        k_el = self._EA * np.einsum(
-            "eg,egi,egj->eij", self._wq, self._rows_a, self._rows_a
-        ) + self._EI * np.einsum("eg,egi,egj->eij", self._wq, self._rows_c, self._rows_c)
-        return self._scatter_matrix(k_el)
+    def _k1(self) -> np.ndarray:
+        return self.tangent_stiffness(np.zeros(self.n))
 
     def _scatter_matrix(self, m_el) -> np.ndarray:
+        """Sum element matrices (n_el, 6, 6) into the free (n, n) matrix."""
         full = np.zeros((self.n_full, self.n_full))
         rows = self.edofs[:, :, None] * self.n_full + self.edofs[:, None, :]
         np.add.at(full.reshape(-1), rows.ravel(), m_el.ravel())
-        return full
+        return full[np.ix_(self.free_dofs, self.free_dofs)]
 
     def mass_matrix(self) -> np.ndarray:
         """Consistent mass matrix on free DOFs (symmetric positive definite)."""
-        return self._mass_full[np.ix_(self.free_dofs, self.free_dofs)].copy()
+        return self._mass.copy()
 
     def linear_stiffness(self) -> np.ndarray:
         """Tangent stiffness at zero displacement (symmetric positive definite)."""
-        return self._k1_full[np.ix_(self.free_dofs, self.free_dofs)].copy()
+        return self._k1.copy()
 
     @cached_property
     def _free_edofs(self) -> np.ndarray:
@@ -344,14 +339,15 @@ class CurvedBeamAssembly:
     def tangent_stiffness(self, q_free) -> np.ndarray:
         """Jacobian of :meth:`internal_force`; exact quadratic in q."""
         wp, eps, _ = self._element_strains(q_free)
-        g_rows = self._rows_a + wp[:, :, None] * self._rows_b
-        k_el = self._EA * np.einsum("eg,egi,egj->eij", self._wq, g_rows, g_rows)
-        k_el += self._EA * np.einsum(
-            "eg,eg,egi,egj->eij", self._wq, eps, self._rows_b, self._rows_b
-        )
-        k_el += self._EI * np.einsum("eg,egi,egj->eij", self._wq, self._rows_c, self._rows_c)
-        full = self._scatter_matrix(k_el)
-        return full[np.ix_(self.free_dofs, self.free_dofs)]
+        k_el = self._EA * _gram(self._wq, self._rows_a + wp[:, :, None] * self._rows_b)
+        k_el += self._EA * _gram(self._wq * eps, self._rows_b)
+        k_el += self._EI * _gram(self._wq, self._rows_c)
+        return self._scatter_matrix(k_el)
+
+
+def _gram(weights, rows) -> np.ndarray:
+    """Element Gram matrices sum_g weights[e, g] rows[e, g, i] rows[e, g, j]."""
+    return np.einsum("eg,egi,egj->eij", weights, rows, rows)
 
 
 @dataclass(frozen=True)

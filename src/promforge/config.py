@@ -222,32 +222,60 @@ def _reject_unknown(section: str, payload: dict, known) -> None:
         raise ValueError(f"unknown keys in section '{section}': {sorted(unknown)}")
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _mapping(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
+def _typed(name: str, value, kind: type):
+    """`value` checked against its field's type; a bool is no number."""
+    if kind in (int, float) and isinstance(value, str):
+        # YAML reads exponents without a sign (1.0e6) as strings
+        try:
+            value = float(value)
+        except ValueError:
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+        if kind is int and value.is_integer():
+            value = int(value)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    data = dict(data or {})
+    data = _mapping("config", data or {})
     kwargs = {}
-    bounds = data.pop("bounds", {})
+    bounds = _mapping("bounds", data.pop("bounds", {}))
     _reject_unknown("bounds", bounds, ("p1", "p2"))
-    if "p1" in bounds:
-        kwargs["bounds_p1"] = tuple(float(x) for x in bounds["p1"])
-    if "p2" in bounds:
-        kwargs["bounds_p2"] = tuple(float(x) for x in bounds["p2"])
+    for name, pair in bounds.items():
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"bounds.{name} must be two numbers [min, max], got {pair!r}")
+        kwargs[f"bounds_{name}"] = tuple(float(_typed(f"bounds.{name}", x, float)) for x in pair)
     for section, cls in _SECTIONS.items():
         if section in data:
-            payload = dict(data.pop(section))
+            payload = _mapping(section, data.pop(section))
             fields = cls.__dataclass_fields__
             _reject_unknown(section, payload, fields)
             for key, value in payload.items():
-                # YAML reads exponents without a sign (1.0e6) as strings
-                if isinstance(value, str) and isinstance(fields[key].default, (int, float)):
-                    payload[key] = type(fields[key].default)(float(value))
+                payload[key] = _typed(f"{section}.{key}", value, type(fields[key].default))
             kwargs[section] = cls(**payload)
     if "monitors" in data:
-        kwargs["monitors"] = tuple(data.pop("monitors"))
+        monitors = data.pop("monitors")
+        if not isinstance(monitors, (list, tuple)) or not all(
+            isinstance(mon, (str, int)) and not isinstance(mon, bool) for mon in monitors
+        ):
+            raise ValueError(f"monitors must be a list of names or DOF indices, got {monitors!r}")
+        kwargs["monitors"] = tuple(monitors)
     if "output" in data:
-        out = data.pop("output")
+        out = _mapping("output", data.pop("output"))
         _reject_unknown("output", out, ("directory",))
         if "directory" in out:
-            kwargs["output_directory"] = str(out["directory"])
+            kwargs["output_directory"] = _typed("output.directory", out["directory"], str)
     if data:
         raise ValueError(f"unknown top-level config keys: {sorted(data)}")
     return _validate(RunConfig(**kwargs))

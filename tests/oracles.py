@@ -1,17 +1,18 @@
-"""Intrusive reduced-tensor projection for the curved-beam kernel.
+"""Test oracles that read element internals of the curved-beam kernel.
 
-Contracts the exact element-level quadratic/cubic force integrals against a
-reduction basis without ever materializing the full-order tensors.  This is
-a verification oracle for the non-intrusive identification path; the build
-pipeline itself must not call it.
+`reduced_tensors_direct` contracts the exact element-level quadratic/cubic
+force integrals against a reduction basis without ever materializing the
+full-order tensors.  It verifies the non-intrusive identification path,
+which sees the structure only through its eight contract members; nothing
+in `src/promforge` may read these internals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .beam_fe import CurvedBeamAssembly
-from .sym_tensor import symmetrize
+from promforge.beam_fe import CurvedBeamAssembly
+from promforge.sym_tensor import symmetrize
 
 __all__ = ["reduced_tensors_direct"]
 

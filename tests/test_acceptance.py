@@ -16,7 +16,6 @@ from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.cli import main as cli_main
 from promforge.config import load_config
 from promforge.database import load_database, load_report
-from promforge.direct_tensors import reduced_tensors_direct
 from promforge.global_basis import LocalBasis, pod_truncate, reorder_local_bases
 from promforge.newmark import ImplicitModel, newmark_integrate
 from promforge.pipeline import (
@@ -34,6 +33,8 @@ from promforge.rom import (
     rom_model,
 )
 from promforge.tensor_id import identify_ed, identify_eed, probe_plan
+
+from oracles import reduced_tensors_direct
 
 
 def _ok(criterion, detail):

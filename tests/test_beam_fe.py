@@ -248,6 +248,26 @@ def test_parity_split_isolates_cubic():
         assert np.linalg.norm(ga - a**3 * g1) < 1e-11 * np.linalg.norm(ga)
 
 
+def _tangent_elements(asm, wp, eps):
+    """Element tangents (n_el, 6, 6) from the strains at the Gauss points,
+    with the four-operand einsum for the axial-stress term."""
+    g_rows = asm._rows_a + wp[:, :, None] * asm._rows_b
+    k_el = asm._EA * np.einsum("eg,egi,egj->eij", asm._wq, g_rows, g_rows)
+    k_el += asm._EA * np.einsum("eg,eg,egi,egj->eij", asm._wq, eps, asm._rows_b, asm._rows_b)
+    k_el += asm._EI * np.einsum("eg,egi,egj->eij", asm._wq, asm._rows_c, asm._rows_c)
+    return k_el
+
+
+def _full_dof_scatter(asm, m_el):
+    """Element matrices summed into a full (n_full, n_full) buffer with
+    `np.add.at`, then the free block copied out with `np.ix_`: the reference
+    scatter every assembled matrix must reproduce bit for bit."""
+    full = np.zeros((asm.n_full, asm.n_full))
+    slots = asm.edofs[:, :, None] * asm.n_full + asm.edofs[:, None, :]
+    np.add.at(full.reshape(-1), slots.ravel(), m_el.ravel())
+    return full[np.ix_(asm.free_dofs, asm.free_dofs)]
+
+
 def _force_and_tangent_per_element_einsum(asm, q):
     """Force and tangent from per-element einsums over all DOFs (embed q,
     contract each strain row set, `np.add.at` into the full vector and
@@ -261,15 +281,31 @@ def _force_and_tangent_per_element_einsum(asm, q):
     g_rows = asm._rows_a + wp[:, :, None] * asm._rows_b
     f_el = asm._EA * np.einsum("eg,eg,egk->ek", asm._wq, eps, g_rows)
     f_el += asm._EI * np.einsum("eg,eg,egk->ek", asm._wq, kappa, asm._rows_c)
-    k_el = asm._EA * np.einsum("eg,egi,egj->eij", asm._wq, g_rows, g_rows)
-    k_el += asm._EA * np.einsum("eg,eg,egi,egj->eij", asm._wq, eps, asm._rows_b, asm._rows_b)
-    k_el += asm._EI * np.einsum("eg,egi,egj->eij", asm._wq, asm._rows_c, asm._rows_c)
     f_full = np.zeros(asm.n_full)
     np.add.at(f_full, asm.edofs, f_el)
-    k_full = np.zeros((asm.n_full, asm.n_full))
-    np.add.at(k_full, (asm.edofs[:, :, None], asm.edofs[:, None, :]), k_el)
-    free = asm.free_dofs
-    return f_full[free], k_full[np.ix_(free, free)]
+    return f_full[asm.free_dofs], _full_dof_scatter(asm, _tangent_elements(asm, wp, eps))
+
+
+@pytest.mark.parametrize("n_el", [4, 7, 40])
+@pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (1.0, 0.3), (3.0, -0.5)])
+def test_matrices_match_per_term_einsums_and_full_dof_scatter_bit_for_bit(p1, p2, n_el):
+    asm = make(p1, p2, n_el)
+    wq = asm._wq
+    m_el = asm._rhoA * (
+        np.einsum("eg,egi,egj->eij", wq, asm._rows_nu, asm._rows_nu)
+        + np.einsum("eg,egi,egj->eij", wq, asm._rows_nw, asm._rows_nw)
+    )
+    k1_el = asm._EA * np.einsum(
+        "eg,egi,egj->eij", wq, asm._rows_a, asm._rows_a
+    ) + asm._EI * np.einsum("eg,egi,egj->eij", wq, asm._rows_c, asm._rows_c)
+    np.testing.assert_array_equal(asm.mass_matrix(), _full_dof_scatter(asm, m_el))
+    np.testing.assert_array_equal(asm.linear_stiffness(), _full_dof_scatter(asm, k1_el))
+    for scale, seed in ((0.0, 0), (0.5, 1), (2.0, 2)):  # transverse amplitude in thicknesses
+        q = _random_state(asm, scale, seed)
+        wp, eps, _ = asm._element_strains(q)
+        k = asm.tangent_stiffness(q)
+        assert k.shape == (asm.n, asm.n) and k.flags.c_contiguous
+        np.testing.assert_array_equal(k, _full_dof_scatter(asm, _tangent_elements(asm, wp, eps)))
 
 
 @given(

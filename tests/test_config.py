@@ -84,6 +84,45 @@ def test_rejects_nonpositive_newmark_parameters(field, value):
         config_from_dict({"integration": {field: value}})
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"monitors": "midspan_w"}, "monitors"),
+        ({"monitors": [True]}, "monitors"),
+        ({"bounds": {"p1": 0.5}}, "bounds.p1"),
+        ({"bounds": {"p2": [0.0, 0.25, 0.5]}}, "bounds.p2"),
+        ({"bounds": {"p1": ["low", 1.5]}}, "bounds.p1"),
+        ({"bounds": [[0.75, 1.5]]}, "bounds"),
+        ({"fe": None}, "fe"),
+        ({"sampling": 10}, "sampling"),
+        ({"output": "out"}, "output"),
+        ({"output": {"directory": None}}, "output.directory"),
+        ({"sampling": {"n_train": 2.5}}, "sampling.n_train"),
+        ({"sampling": {"n_train": "2.5"}}, "sampling.n_train"),
+        ({"sampling": {"n_train": True}}, "sampling.n_train"),
+        ({"integration": {"rom_steps_per_period": 99.5}}, "integration.rom_steps_per_period"),
+        ({"damping": {"zeta": [0.01]}}, "damping.zeta"),
+        ({"load": {"amplitude": "loud"}}, "load.amplitude"),
+        ({"basis": {"companion": 3}}, "basis.companion"),
+        ({"basis": {"dual_pairs": "yes"}}, "basis.dual_pairs"),
+        ([["sampling", 10]], "config"),
+    ],
+)
+def test_rejects_malformed_values_naming_the_key(data, key):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        config_from_dict(data)
+
+
+def test_yaml_number_strings_keep_their_values():
+    # YAML reads exponents without a sign as strings; they still parse
+    cfg = config_from_dict(
+        {"fe": {"n_elements": "4e1", "youngs_modulus": "7.0e10"}, "bounds": {"p1": ["5e-1", 1]}}
+    )
+    assert cfg.fe.n_elements == 40 and type(cfg.fe.n_elements) is int
+    assert cfg.fe.youngs_modulus == 7.0e10
+    assert cfg.bounds_p1 == (0.5, 1.0)
+
+
 def test_overrides_scalars():
     raw = {"sampling": {"n_train": 10}}
     out = apply_overrides(raw, ["sampling.n_train=4", "fe.n_elements=16", "load.amplitude=12.5"])

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg as sla
 
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
-from promforge.direct_tensors import reduced_tensors_direct
 from promforge.sym_tensor import (
     force_cubic,
     force_quadratic,
@@ -11,6 +10,8 @@ from promforge.sym_tensor import (
     tangent_cubic,
     tangent_quadratic,
 )
+
+from oracles import reduced_tensors_direct
 
 SPEC = BeamSpec()
 

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +235,35 @@ def test_pipeline_sees_the_structure_only_through_its_contract(monkeypatch, tmp_
     make = pipeline.make_assembly
     monkeypatch.setattr(pipeline, "make_assembly", lambda *args: StructureContract(make(*args)))
     assert artifacts(tmp_path / "contract") == plain
+
+
+def _assembly_private_names():
+    """Private methods and `self._*` attributes of `CurvedBeamAssembly`."""
+    tree = ast.parse(Path(beam_fe.__file__).read_text(encoding="utf-8"))
+    cls = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "CurvedBeamAssembly"
+    )
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_src_module_reads_assembly_internals():
+    private = _assembly_private_names()
+    assert {"_rows_a", "_ea_w", "_wq", "_free_edofs"} <= private
+    reads = []
+    for path in sorted(Path(beam_fe.__file__).parent.glob("*.py")):
+        if path.name == "beam_fe.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert reads == []
 
 
 def test_build_with_force_based_identification():
@@ -514,3 +545,17 @@ def test_cli_reports_malformed_yaml(tmp_path, capsys, text, extra):
     rc = cli_main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("fe:\n", "fe"), ("bounds: {p1: 0.5}\n", "bounds.p1"), ("monitors: midspan_w\n", "monitors")],
+    ids=["empty-section", "scalar-bound", "scalar-monitors"],
+)
+def test_cli_reports_malformed_config_values(tmp_path, capsys, text, key):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(text)
+    rc = cli_main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "out").exists()

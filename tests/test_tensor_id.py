@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
-from promforge.direct_tensors import reduced_tensors_direct
 from promforge.sym_tensor import full_from_unique, sorted_multi_indices, symmetrize
 from promforge.tensor_id import IdentifiedTensors, identify_ed, identify_eed, probe_plan
+
+from oracles import reduced_tensors_direct
 
 SPEC = BeamSpec()
 
