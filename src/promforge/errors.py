@@ -42,7 +42,7 @@ class DegenerateSnapshotsError(PromforgeError):
 
 
 class StructureViolationError(PromforgeError):
-    """Interpolated operators lost a structural property (positivity)."""
+    """A reduced model failed the admissibility rule (`RomOperators.validate`)."""
 
     def __init__(self, message, details=None):
         super().__init__(message)

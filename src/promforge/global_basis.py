@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DegenerateSnapshotsError, DuplicateAssignmentError
-from .modes import CompanionSet, ModeSet, fix_signs
+from .modes import CompanionSet, ModeSet, fix_signs, pod_truncate
 from .params import pairwise_distances
 
 __all__ = [
@@ -95,24 +95,6 @@ def assemble_snapshots(
     modes = modes / np.linalg.norm(modes, axis=0)
     companions = companions / np.linalg.norm(companions, axis=0)
     return SnapshotMatrices(modes, companions)
-
-
-def pod_truncate(snapshots: np.ndarray, energy_threshold: float):
-    """Left singular vectors capturing the requested fraction of snapshot energy.
-
-    Returns (vectors, m, energy_curve, singular_values) with m the smallest
-    count whose cumulative squared singular values reach the threshold.
-    """
-    if not 0.0 < energy_threshold <= 1.0:
-        raise ValueError("energy threshold must lie in (0, 1]")
-    snapshots = np.asarray(snapshots, dtype=float)
-    if snapshots.size == 0 or not np.any(snapshots):
-        raise DegenerateSnapshotsError("cannot compress an empty/zero snapshot matrix")
-    u, sv, _ = np.linalg.svd(snapshots, full_matrices=False)
-    energy = np.cumsum(sv**2) / np.sum(sv**2)
-    m = int(np.searchsorted(energy, energy_threshold) + 1)
-    m = min(m, sv.size)
-    return u[:, :m].copy(), m, energy, sv
 
 
 def build_global_rb(
@@ -210,12 +192,11 @@ def reorder_local_bases(
     bases: list[LocalBasis],
     sample_points: np.ndarray,
     mass_matrices: list,
-    start: int | None = None,
 ) -> list[LocalBasis]:
     """Order every basis consistently with its nearest already-ordered neighbour.
 
-    Starting from `start` (default: the sample closest to the hypercube
-    center), the unordered basis closest in normalized parameter space to any
+    Starting from the sample closest to the hypercube center (the first on
+    ties), the unordered basis closest in normalized parameter space to any
     ordered one is matched column-by-column via the mass-weighted MAC against
     that nearest reference; matched columns are permuted and sign-aligned.
     A non-bijective match raises DuplicateAssignmentError.
@@ -225,9 +206,8 @@ def reorder_local_bases(
     if pts.shape[0] != n_samples or len(mass_matrices) != n_samples:
         raise ValueError("bases, sample points and mass matrices must align")
 
-    if start is None:
-        center = np.full(pts.shape[1], 0.5)
-        start = int(np.argmin(np.linalg.norm(pts - center, axis=1)))
+    center = np.full(pts.shape[1], 0.5)
+    start = int(np.argmin(np.linalg.norm(pts - center, axis=1)))
 
     ordered = [start]
     unordered = [i for i in range(n_samples) if i != start]

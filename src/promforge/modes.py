@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.linalg as sla
 
+from .beam_fe import static_solve
 from .errors import DegenerateSnapshotsError, EmptySelectionError
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "select_smds",
     "compute_dual_modes",
     "fix_signs",
+    "pod_truncate",
 ]
 
 
@@ -89,6 +91,24 @@ def fix_signs(columns: np.ndarray) -> np.ndarray:
     signs[signs == 0] = 1.0
     columns *= signs
     return columns
+
+
+def pod_truncate(snapshots: np.ndarray, energy_threshold: float):
+    """Left singular vectors capturing the requested fraction of snapshot energy.
+
+    Returns (vectors, m, energy_curve, singular_values) with m the smallest
+    count whose cumulative squared singular values reach the threshold.
+    """
+    if not 0.0 < energy_threshold <= 1.0:
+        raise ValueError("energy threshold must lie in (0, 1]")
+    snapshots = np.asarray(snapshots, dtype=float)
+    if snapshots.size == 0 or not np.any(snapshots):
+        raise DegenerateSnapshotsError("cannot compress an empty/zero snapshot matrix")
+    u, sv, _ = np.linalg.svd(snapshots, full_matrices=False)
+    energy = np.cumsum(sv**2) / np.sum(sv**2)
+    m = int(np.searchsorted(energy, energy_threshold) + 1)
+    m = min(m, sv.size)
+    return u[:, :m].copy(), m, energy, sv
 
 
 def solve_vms(mass, stiffness, k: int) -> ModeSet:
@@ -174,7 +194,6 @@ def compute_dual_modes(
     scale_thickness: float,
     energy_threshold: float = 1.0 - 1e-8,
     include_pairs: bool = False,
-    static_solver=None,
 ) -> CompanionSet:
     """Dual modes: POD of the nonlinear content of modal static solutions.
 
@@ -184,10 +203,6 @@ def compute_dual_modes(
     of each solution is subtracted and the residuals are POD-compressed to
     the requested energy.
     """
-    from .beam_fe import static_solve as _static_solve
-    from .global_basis import pod_truncate
-
-    solver = static_solver if static_solver is not None else _static_solve
     k1 = assembly.linear_stiffness()
 
     directions = [modes.shapes[:, i] for i in range(modes.n_modes)]
@@ -202,7 +217,7 @@ def compute_dual_modes(
     for v, s in zip(directions.T, scales):
         for sign in (+1.0, -1.0):
             q_lin = sign * s * v
-            q_star = solver(assembly, k1 @ q_lin, q0=q_lin)
+            q_star = static_solve(assembly, k1 @ q_lin, q0=q_lin)
             residuals.append(q_star - q_lin)
             linear_norms.append(np.linalg.norm(q_lin))
 

@@ -56,10 +56,6 @@ class TimeHistory:
     # per step: "newton_corrections" (int) and the final "residual_norm"
     meta: dict = field(default_factory=dict)
 
-    @property
-    def dt(self) -> float:
-        return float(self.time[1] - self.time[0])
-
 
 def newmark_integrate(
     model: ImplicitModel,

@@ -81,14 +81,15 @@ def _new_counters() -> dict:
 def _naming_sample(role: str, index: int, p_physical):
     """Re-raise a sample's failure, same type and fields, naming the sample.
 
-    A DuplicateAssignmentError already names its sample pair and carries
-    the MAC matrix, so it passes through unchanged.
+    ValueErrors (a non-finite probe or SMD, a failed eigen solve) are named
+    too.  A DuplicateAssignmentError already names its sample pair and
+    carries the MAC matrix, so it passes through unchanged.
     """
     try:
         yield
     except DuplicateAssignmentError:
         raise
-    except PromforgeError as exc:
+    except (PromforgeError, ValueError) as exc:
         named = type(exc)(f"{role} sample {index} (p={p_physical}): {exc}")
         named.__dict__.update(vars(exc))
         raise named from exc

@@ -3,9 +3,10 @@
 Every operator entry is a scalar function of the normalized parameter
 point; one kernel matrix factorization per shape parameter serves every
 entry of every operator that selected it.  `PromModel` is the surrogate:
-evaluation reassembles the interpolated entries into structure-checked
-reduced operators, and parameter gradients come from differentiating the
-kernel analytically.
+evaluation reassembles the interpolated entries into reduced operators that
+pass `RomOperators.validate`, the admissibility rule stored models pass
+too, and parameter gradients come from differentiating the kernel
+analytically.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import scipy.linalg as sla
 from .errors import IllConditionedError, StructureViolationError
 from .params import pairwise_distances
 from .rom import RomOperators
+from .sym_tensor import n_unique
 from .tensor_id import IdentifiedTensors
 
 __all__ = [
-    "RbfKernel",
     "PromModel",
     "ValidationReport",
-    "kernel_eval",
     "fit_weights",
     "fit_prom_interpolants",
     "evaluate_prom",
@@ -41,18 +41,12 @@ OPERATOR_NAMES = ("k1", "k2", "k3", "v", "alpha", "beta")
 KERNEL_KINDS = ("inverse_multiquadric", "gaussian")
 
 
-@dataclass(frozen=True)
-class RbfKernel:
-    """Radial kernel with a positive shape parameter acting on distances."""
-
-    kind: str = "inverse_multiquadric"
-    eps: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.eps <= 0.0:
-            raise ValueError("shape parameter must be positive")
+def _check_kernel(kind: str, eps: float) -> None:
+    """Reject an unknown kernel kind or a shape parameter that is not > 0 (NaN)."""
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    if not eps > 0.0:
+        raise ValueError("shape parameter must be positive")
 
 
 def _radial(kind: str, eps, delta, eps_sq=None):
@@ -67,30 +61,31 @@ def _radial(kind: str, eps, delta, eps_sq=None):
     return -2.0 * eps_sq * np.exp(-x2)
 
 
-def kernel_eval(kernel: RbfKernel, delta):
-    """Kernel value at distance delta (vectorized)."""
-    return _radial(kernel.kind, kernel.eps, np.asarray(delta, dtype=float))
-
-
-def _factor_kernel(centers: np.ndarray, kernel: RbfKernel):
-    """Kernel matrix over the centers, its condition number and LU factors.
-
-    Conditioning above 1e12 warns with shape-parameter guidance; a singular
-    matrix raises.
-    """
+def _center_distances(centers: np.ndarray) -> np.ndarray:
+    """Pairwise distances of the centers, which must be pairwise distinct."""
     n_centers = centers.shape[0]
     d = pairwise_distances(centers, centers)
     if n_centers > 1 and np.min(d[~np.eye(n_centers, dtype=bool)]) == 0.0:
         raise ValueError("centers must be pairwise distinct")
-    gamma = kernel_eval(kernel, d)
+    return d
+
+
+def _factor_kernel(distances: np.ndarray, kind: str, eps: float):
+    """Kernel matrix over the center distances, its condition number and LU factors.
+
+    Conditioning above 1e12 warns with shape-parameter guidance; a singular
+    matrix raises.
+    """
+    _check_kernel(kind, eps)
+    gamma = _radial(kind, eps, distances)
     cond = float(np.linalg.cond(gamma))
     if not np.isfinite(cond):
         raise IllConditionedError(
-            f"kernel matrix is singular for eps={kernel.eps:.4g}; increase eps"
+            f"kernel matrix is singular for eps={eps:.4g}; increase eps"
         )
     if cond > 1e12:
         warnings.warn(
-            f"kernel matrix condition {cond:.3g} exceeds 1e12 for eps={kernel.eps:.4g}; "
+            f"kernel matrix condition {cond:.3g} exceeds 1e12 for eps={eps:.4g}; "
             "weights may be inaccurate (a larger eps sharpens the kernel)",
             RuntimeWarning,
             stacklevel=3,
@@ -160,13 +155,19 @@ class PromModel:
         self.weights = {
             name: np.asfortranarray(self.weights[name], dtype=float) for name in OPERATOR_NAMES
         }
-        for name, weights in self.weights.items():
-            RbfKernel(self.kind, self.eps[name])  # rejects an unknown kind or eps <= 0
+        m = self.m
+        rows = (m, n_unique(m, 3), n_unique(m, 4), self.n * m, 1, 1)
+        for (name, weights), n_rows in zip(self.weights.items(), rows):
+            _check_kernel(self.kind, self.eps[name])
             if weights.ndim != 2 or weights.shape[1] != len(self.centers):
                 raise ValueError(f"{name} weights {weights.shape} need one column per center")
             if np.shape(self.offset[name]) != weights.shape[:1]:
                 raise ValueError(
                     f"{name} offset {np.shape(self.offset[name])} needs one entry per weight row"
+                )
+            if weights.shape[0] != n_rows:
+                raise ValueError(
+                    f"{name} weights {weights.shape} need {n_rows} rows for n={self.n}, m={m}"
                 )
         self._eps = np.array([[self.eps[name]] for name in OPERATOR_NAMES], dtype=float)
         self._eps_sq = np.array([[self.eps[name] ** 2] for name in OPERATOR_NAMES], dtype=float)
@@ -218,12 +219,13 @@ def fit_prom_interpolants(
     """Final per-operator weight fit at the chosen shape parameters; the
     kernel matrix is factored once per distinct shape parameter."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    distances = _center_distances(centers)
     tables = operator_tables(rom_list)
     eps = {name: float(eps_by_operator[name]) for name in OPERATOR_NAMES}
     factored, offset, weights, condition = {}, {}, {}, {}
     for name in OPERATOR_NAMES:
         if eps[name] not in factored:
-            factored[eps[name]] = _factor_kernel(centers, RbfKernel(kernel_kind, eps[name]))
+            factored[eps[name]] = _factor_kernel(distances, kernel_kind, eps[name])
         gamma, factors, condition[name] = factored[eps[name]]
         offset[name], weights[name] = fit_weights(tables[name], gamma, factors)
     return PromModel(
@@ -279,20 +281,20 @@ def validate_eps(
         deviations[name] = table[:, :n_train] - offsets[name][:, None]
         exact[name] = table[:, n_train:]
         exact_norms[name] = np.maximum(np.linalg.norm(exact[name], axis=0), 1e-300)
+    distances = _center_distances(train_centers)
     val_distances = pairwise_distances(val_centers, train_centers)
 
     curves = {name: np.full(eps_grid.size, np.inf) for name in OPERATOR_NAMES}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # sweep hits bad eps values
         for k, eps in enumerate(eps_grid):
-            kernel = RbfKernel(kernel_kind, eps)
             try:
-                gamma, factors, cond = _factor_kernel(train_centers, kernel)
+                gamma, factors, cond = _factor_kernel(distances, kernel_kind, eps)
             except IllConditionedError:
                 continue
             if cond > condition_limit:
                 continue
-            cardinal = _solve_rows(factors, gamma, kernel_eval(kernel, val_distances))
+            cardinal = _solve_rows(factors, gamma, _radial(kernel_kind, eps, val_distances))
             for name in OPERATOR_NAMES:
                 approx = offsets[name][:, None] + deviations[name] @ cardinal.T
                 ratios = np.linalg.norm(exact[name] - approx, axis=0) / exact_norms[name]
@@ -334,9 +336,9 @@ def evaluate_prom(
 
     The reduced damping is rebuilt from the interpolated Rayleigh
     coefficients and stiffness diagonal rather than interpolated entrywise.
-    Positivity of the stiffness diagonal and damping coefficients is
-    checked after interpolation; `structure_check` picks error/warn
-    behaviour, and any other value raises ValueError.  Points outside the
+    The assembled model is checked with `RomOperators.validate`;
+    `structure_check` picks error/warn behaviour (warn returns the values
+    as interpolated), and any other value raises ValueError.  Points outside the
     unit hypercube only warn (extrapolation); a point of the wrong shape or
     with a non-finite coordinate raises ValueError.  Every operator comes
     from one distance vector and one kernel row matrix, bit for bit what
@@ -354,27 +356,18 @@ def evaluate_prom(
     d = model.centers - p_hat
     phi = _radial(model.kind, model._eps, np.sqrt(np.add.reduce(d * d, axis=1)))
     k1_diag, k2, k3, v, alpha, beta = [o + w @ row for (o, w), row in zip(model._rows, phi)]
-    alpha, beta = float(alpha[0]), float(beta[0])
-
-    problems = []
-    if (k1_diag <= 0.0).any():
-        problems.append(f"non-positive stiffness diagonal entries at {p_hat}")
-    if alpha <= 0.0:
-        problems.append(f"non-positive mass damping coefficient {alpha:.4g}")
-    if beta <= 0.0:
-        problems.append(f"non-positive stiffness damping coefficient {beta:.4g}")
-    if problems:
-        message = "interpolated model lost positivity: " + "; ".join(problems)
-        if structure_check == "error":
-            raise StructureViolationError(message, details=problems)
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-
     tensors = IdentifiedTensors(model.m, k2, k3, method="interpolated")
-    # values pass through as interpolated, including any flagged violations
-    return RomOperators(
+    ops = RomOperators(
         basis=v.reshape(model.n, model.m), k1_diag=k1_diag, tensors=tensors,
-        alpha=alpha, beta=beta, p_hat=p_hat.copy(),
+        alpha=float(alpha[0]), beta=float(beta[0]), p_hat=p_hat.copy(),
     )
+    try:
+        return ops.validate()
+    except StructureViolationError as exc:
+        if structure_check == "error":
+            raise
+        warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
+        return ops
 
 
 def prom_gradient(model: PromModel, p_hat) -> dict:

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import StructureViolationError
 from .newmark import ImplicitModel
 from .sym_tensor import force_cubic, force_quadratic, pair_matrix, tangent_cubic, tangent_quadratic
 from .tensor_id import IdentifiedTensors
@@ -51,11 +52,19 @@ class RomOperators:
             raise ValueError("tensor size does not match the basis")
 
     def validate(self) -> "RomOperators":
-        """Enforce positivity of the stiffness diagonal and damping."""
-        if np.any(self.k1_diag <= 0.0):
-            raise ValueError("reduced stiffness diagonal must be positive")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("Rayleigh coefficients must be nonnegative")
+        """The one admissibility rule for stored and interpolated models: every
+        stiffness diagonal entry > 0 and alpha, beta >= 0, NaN failing; else
+        StructureViolationError with each violation in `details`."""
+        problems = []
+        if not (self.k1_diag > 0.0).all():
+            problems.append(f"stiffness diagonal entries not > 0 at {self.p_hat}")
+        if not self.alpha >= 0.0:
+            problems.append(f"mass damping coefficient {self.alpha:.4g} not >= 0")
+        if not self.beta >= 0.0:
+            problems.append(f"stiffness damping coefficient {self.beta:.4g} not >= 0")
+        if problems:
+            message = f"{self.tensors.method} model lost positivity: " + "; ".join(problems)
+            raise StructureViolationError(message, details=problems)
         return self
 
     @property
@@ -69,11 +78,6 @@ class RomOperators:
     @property
     def omegas(self) -> np.ndarray:
         return np.sqrt(self.k1_diag)
-
-    @cached_property
-    def k1(self) -> np.ndarray:
-        """Dense diagonal linear stiffness (m, m), built on first use."""
-        return np.diag(self.k1_diag)
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -106,13 +110,17 @@ def reduced_tangent(ops: RomOperators, eta) -> np.ndarray:
 
     At the eta of the last :func:`reduced_force` call, bit for bit, it
     reuses that call's T2 and T3; at any other eta it contracts afresh.
+    k1_diag joins 2·T2 in place before 3·T3, the order of diag(k1) + 2·T2 + 3·T3.
     """
     eta = np.asarray(eta, dtype=float)
     if ops._last is not None and ops._last[0] == eta.tobytes():
         _, t2, t3 = ops._last
     else:
         t2, t3 = tangent_quadratic(ops.k2, eta), tangent_cubic(ops.k3, eta)
-    return ops.k1 + 2.0 * t2 + 3.0 * t3
+    tangent = 2.0 * t2
+    tangent.reshape(-1)[:: ops.m + 1] += ops.k1_diag
+    tangent += 3.0 * t3
+    return tangent
 
 
 def rayleigh_params(omega1: float, omega2: float, zeta: float) -> tuple[float, float]:

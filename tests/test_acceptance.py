@@ -238,7 +238,7 @@ def test_criterion_6_reordering_recovery():
             LocalBasis(vectors=noisy, omegas=omegas[shuffle]),
         ]
         pts = np.array([[0.5, 0.5], rng.random(2)])
-        out = reorder_local_bases(bases, pts, [mass, mass], start=0)
+        out = reorder_local_bases(bases, pts, [mass, mass])
         inverse = np.argsort(shuffle)
         if np.array_equal(out[1].permutation, inverse) and np.array_equal(
             out[1].signs, signs[inverse]

@@ -259,6 +259,20 @@ def test_malformed_container_raises_corrupt(tmp_path, small_db, damage):
         load_database(path)
 
 
+@pytest.mark.parametrize("field, change", [("m", -1), ("n", 1)])
+def test_surrogate_sizes_that_disagree_with_its_weights_raise_corrupt(
+    tmp_path, small_db, field, change
+):
+    # an edited prom.m used to load and fail only at the first query
+    path = tmp_path / "prom.promdb"
+    save_database(small_db[0], path)
+    kind, meta, arrays = read_container(path)
+    meta["prom"][field] += change
+    write_container(path, kind, meta, arrays)
+    with pytest.raises(CorruptFileError, match="rows for n="):
+        load_database(path)
+
+
 def test_cli_inspect_reports_malformed_container(tmp_path, small_db, capsys):
     path = tmp_path / "prom.promdb"
     save_database(small_db[0], path)

@@ -234,7 +234,7 @@ def _shuffle_recovery(perturbation, seed):
         type(base)(vectors=shuffled, omegas=base.omegas[shuffle]),
     ]
     pts = np.array([[0.5, 0.5], [0.6, 0.5]])
-    out = reorder_local_bases(bases, pts, [M, M], start=0)
+    out = reorder_local_bases(bases, pts, [M, M])
     recovered = out[1]
     np.testing.assert_array_equal(recovered.permutation, np.argsort(shuffle))
     np.testing.assert_array_equal(recovered.signs, signs[np.argsort(shuffle)])
@@ -266,7 +266,7 @@ def test_reorder_duplicate_assignment_detected():
     ]
     pts = np.array([[0.4, 0.4], [0.6, 0.6]])
     with pytest.raises(DuplicateAssignmentError) as err:
-        reorder_local_bases(bases, pts, [np.eye(n)] * 2, start=0)
+        reorder_local_bases(bases, pts, [np.eye(n)] * 2)
     assert err.value.sample_index == 1
     assert err.value.mac is not None
 

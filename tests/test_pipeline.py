@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promforge import beam_fe, newmark, pipeline
+from promforge import beam_fe, modes, newmark, pipeline
 from promforge.beam_fe import PulseLoad
 from promforge.cli import main as cli_main
 from promforge.config import config_from_dict
@@ -102,6 +102,24 @@ def test_builders_name_the_sample_an_identification_failure_came_from(monkeypatc
     assert str(err.value).startswith("validation sample 0 (p=[")
 
 
+def test_builders_name_the_sample_a_numerical_check_failed_in(monkeypatch, pipeline_result):
+    cfg, train, _ = pipeline_result
+    message = "non-finite eed evaluation at probe 9, directions +0 -2"
+
+    def fail(*args, **kwargs):
+        raise ValueError(message)
+
+    monkeypatch.setattr(pipeline, "identify_eed", fail)
+    with pytest.raises(ValueError) as err:
+        build_database(cfg, "train")
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith("train sample 0 (p=[")
+    assert str(err.value).endswith(message)
+    with pytest.raises(ValueError) as err:
+        build_companion_database(train, cfg, "validation")
+    assert str(err.value).startswith("validation sample 0 (p=[")
+
+
 @pytest.mark.parametrize(
     "variant",
     [{}, {"identification": {"method": "ed"}}, {"basis": {"companion": "dual"}}],
@@ -168,7 +186,7 @@ def test_dual_mode_pairs_count_every_static_solve(monkeypatch):
         calls["n"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(beam_fe, "static_solve", counting_solve)
+    monkeypatch.setattr(modes, "static_solve", counting_solve)
     cfg = small_cfg(basis={"companion": "dual", "dual_pairs": True})
     train = build_database(cfg, "train")
     assert train.counters["dual_static_solves"] == calls["n"]
@@ -264,6 +282,19 @@ def test_no_src_module_reads_assembly_internals():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 reads.append(f"{path.name}:{node.lineno} {node.attr}")
     assert reads == []
+
+
+def test_no_src_function_body_imports():
+    # patching a module's name (tests, the tracer) reaches only module-level imports
+    nested = []
+    for path in sorted(Path(beam_fe.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == []
 
 
 def test_build_with_force_based_identification():
@@ -423,6 +454,19 @@ def test_benchmark_isolates_surrogate_failures():
         assert failure.count("StructureViolationError") == 1
     assert {"hfm", "closest", "recomputed"} <= set(report.histories[0])
     assert "closest" in report.errors[0] and "recomputed" in report.errors[0]
+
+
+def test_zero_damping_runs_every_model():
+    # zeta = 0 gives alpha = beta = 0, which stored and interpolated models both admit
+    cfg = small_cfg(sampling={"n_test": 1}, damping={"zeta": 0.0})
+    train = build_database(cfg, "train")
+    val = build_companion_database(train, cfg, "validation")
+    db = fit_prom(train, val, cfg)
+    report = run_benchmark(db, cfg)
+    assert report.failures[0] == {}
+    assert {"interpolated", "linear"} <= set(report.histories[0])
+    ops = evaluate_prom(db.prom, report.test_points[0])
+    assert ops.alpha == 0.0 and ops.beta == 0.0
 
 
 def test_dominant_period_of_pure_tone():

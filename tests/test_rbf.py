@@ -13,14 +13,14 @@ from promforge.rbf import (
     KERNEL_KINDS,
     OPERATOR_NAMES,
     PromModel,
-    RbfKernel,
+    _center_distances,
+    _check_kernel,
     _factor_kernel,
     _query_point,
     _radial,
     evaluate_prom,
     fit_prom_interpolants,
     fit_weights,
-    kernel_eval,
     operator_tables,
     operator_vectors,
     prom_gradient,
@@ -35,39 +35,40 @@ from promforge.tensor_id import IdentifiedTensors, n_unique
 # ----------------------------------------------------------------------
 def test_kernel_values_at_zero():
     for kind in ("inverse_multiquadric", "gaussian"):
-        assert kernel_eval(RbfKernel(kind, 2.0), 0.0) == 1.0
+        assert _radial(kind, 2.0, 0.0) == 1.0
 
 
 def test_inverse_multiquadric_unit_argument():
-    k = RbfKernel("inverse_multiquadric", 2.0)
-    assert kernel_eval(k, 0.5) == pytest.approx(1.0 / np.sqrt(2.0))
+    assert _radial("inverse_multiquadric", 2.0, 0.5) == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_kernels_monotone_decreasing():
     grid = np.linspace(0.0, 3.0, 50)
     for kind in ("inverse_multiquadric", "gaussian"):
-        vals = kernel_eval(RbfKernel(kind, 1.3), grid)
+        vals = _radial(kind, 1.3, grid)
         assert np.all(np.diff(vals) < 0.0)
 
 
 def test_kernel_slope_smooth_at_zero():
     # the slope gamma'(d)/d that prom_gradient takes from _radial
+    eps = 1.7
     for kind in ("inverse_multiquadric", "gaussian"):
-        k = RbfKernel(kind, 1.7)
-        s0 = _radial(kind, k.eps, 0.0, k.eps**2)
+        s0 = _radial(kind, eps, 0.0, eps**2)
         assert np.isfinite(s0)
         # finite-difference check of gamma'(d)/d away from zero
         d = 0.4
         h = 1e-7
-        fd = (kernel_eval(k, d + h) - kernel_eval(k, d - h)) / (2 * h)
-        assert _radial(kind, k.eps, d, k.eps**2) * d == pytest.approx(fd, rel=1e-6)
+        fd = (_radial(kind, eps, d + h) - _radial(kind, eps, d - h)) / (2 * h)
+        assert _radial(kind, eps, d, eps**2) * d == pytest.approx(fd, rel=1e-6)
 
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        RbfKernel("cubic", 1.0)
+        _check_kernel("cubic", 1.0)
     with pytest.raises(ValueError):
-        RbfKernel("gaussian", 0.0)
+        _check_kernel("gaussian", 0.0)
+    with pytest.raises(ValueError):  # a NaN eps used to pass and make every query NaN
+        _check_kernel("gaussian", float("nan"))
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_interpolation_property_at_centers():
     rng = np.random.default_rng(0)
     centers = lhs_sample(12, 2, seed=1).points
     values = rng.standard_normal((40, 12))
-    gamma, factors, _ = _factor_kernel(centers, RbfKernel("inverse_multiquadric", 1.5))
+    gamma, factors, _ = _factor_kernel(_center_distances(centers), "inverse_multiquadric", 1.5)
     offset, weights = fit_weights(values, gamma, factors)
     for i in range(12):
         approx = offset + weights @ gamma[:, i]  # the kernel row at center i
@@ -155,9 +156,9 @@ def test_final_fit_factors_once_per_distinct_eps(monkeypatch, eps):
     roms = [synthetic_rom(p) for p in train]
     factored = []
 
-    def counted(centers, kernel):
-        factored.append(kernel.eps)
-        return _factor_kernel(centers, kernel)
+    def counted(distances, kind, eps):
+        factored.append(eps)
+        return _factor_kernel(distances, kind, eps)
 
     monkeypatch.setattr(rbf, "_factor_kernel", counted)
     model = fit_prom_interpolants(
@@ -167,7 +168,7 @@ def test_final_fit_factors_once_per_distinct_eps(monkeypatch, eps):
     # a shared factorization gives each operator the weights of a fit on its own
     tables = operator_tables(roms)
     for name, e in zip(OPERATOR_NAMES, eps):
-        gamma, factors, cond = _factor_kernel(train, RbfKernel("inverse_multiquadric", e))
+        gamma, factors, cond = _factor_kernel(_center_distances(train), "inverse_multiquadric", e)
         offset, weights = fit_weights(tables[name], gamma, factors)
         np.testing.assert_array_equal(model.offset[name], offset, err_msg=name)
         np.testing.assert_array_equal(model.weights[name], weights, err_msg=name)
@@ -261,7 +262,7 @@ def interpolant_evaluate(model, p_hat, name="k2"):
     vector and kernel: what the fused query must give bit for bit."""
     p_hat = _query_point(model.centers, p_hat)
     delta = np.linalg.norm(model.centers - p_hat[None, :], axis=1)
-    row = kernel_eval(RbfKernel(model.kind, model.eps[name]), delta)
+    row = _radial(model.kind, model.eps[name], delta)
     return model.offset[name] + model.weights[name] @ row
 
 

@@ -11,7 +11,7 @@ from promforge.beam_fe import (
     GeometryParams,
     PulseLoad,
 )
-from promforge.errors import NonConvergenceError
+from promforge.errors import NonConvergenceError, StructureViolationError
 from promforge.newmark import ImplicitModel, TimeHistory, newmark_integrate
 from promforge.rom import (
     RomOperators,
@@ -149,6 +149,26 @@ def test_fused_force_and_tangent_match_unfused_bit_for_bit(m, seed, case):
     elif case == "mutated-in-place":
         eta[rng.integers(m)] += 0.5
     np.testing.assert_array_equal(reduced_tangent(ops, eta), _unfused_tangent(ops, eta))
+
+
+@given(
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+    linear=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_reduced_tangent_keeps_the_bits_of_the_dense_diagonal_sum(m, seed, zeros, linear):
+    # k1_diag joins 2·T2 in place, so every entry, a signed zero included, sums
+    # as diag(k1) + 2·T2 + 3·T3 does
+    ops = _random_rom(m, seed)
+    ops = linearize(ops) if linear else ops
+    rng = np.random.default_rng([seed, 2])
+    eta = rng.standard_normal(m) * ((rng.random(m) < 0.5) if zeros else 1.0)
+    expected = _unfused_tangent(ops, eta)
+    got = reduced_tangent(ops, eta)
+    np.testing.assert_array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_copies_start_without_the_force_cache():
@@ -554,6 +574,31 @@ def test_basis_projection_round_trip(beam_rom):
     np.testing.assert_allclose(back, eta, atol=1e-10)
 
 
+_ADMISSIBILITY_EDGES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300])
+_ENTRIES = _ADMISSIBILITY_EDGES | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(k1_diag=st.lists(_ENTRIES, min_size=1, max_size=4), alpha=_ENTRIES, beta=_ENTRIES)
+@settings(max_examples=300, deadline=None)
+def test_validate_raises_exactly_on_an_inadmissible_model(k1_diag, alpha, beta):
+    m = len(k1_diag)
+    ops = RomOperators(
+        basis=np.eye(m), k1_diag=k1_diag, tensors=IdentifiedTensors.zeros(m, method="interpolated"),
+        alpha=alpha, beta=beta,
+    )
+    violations = [
+        any(k <= 0.0 or np.isnan(k) for k in k1_diag),
+        alpha < 0.0 or np.isnan(alpha),
+        beta < 0.0 or np.isnan(beta),
+    ]
+    if not any(violations):
+        assert ops.validate() is ops
+        return
+    with pytest.raises(StructureViolationError, match="^interpolated model lost positivity") as err:
+        ops.validate()
+    assert len(err.value.details) == sum(violations)
+
+
 def test_rom_operators_validation(beam_rom):
     _, ops = beam_rom
     bad = RomOperators(
@@ -563,7 +608,7 @@ def test_rom_operators_validation(beam_rom):
         alpha=0.0,
         beta=0.0,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureViolationError):
         bad.validate()
     assert ops.validate() is ops
     with pytest.raises(ValueError):
