@@ -9,9 +9,10 @@ validation and test: perfbench's `make_config`, imported with its
 cannot drift.  offline-dual-ed keeps the shipped training seed, as in
 perfbench.  Each seed is built, fitted and benchmarked through the public
 API; the script prints every test point's interpolated relative L2 error
-next to its recomputed one (the exact ROM at that point, in the training
-frame), so interpolation error and reduction error can be told apart, and
-the eps selected per operator.
+next to its closest one (the matched training sample's ROM) and its
+recomputed one (the exact ROM at that point, in the training frame), so
+interpolation error and reduction error can be told apart, and the eps
+selected per operator.
 One summary line of the interpolated errors follows (median, maximum,
 points above the 5% bound).
 
@@ -41,15 +42,15 @@ from promforge.pipeline import (  # noqa: E402
 from promforge.rbf import OPERATOR_NAMES  # noqa: E402
 
 
-def seed_errors(raw: dict, seed: int, overrides=()) -> tuple[list, list, dict]:
-    """Interpolated and recomputed error per test point (None where that
-    model failed) and the selected eps per operator."""
+def seed_errors(raw: dict, seed: int, overrides=()) -> tuple[list, list, list, dict]:
+    """Interpolated, closest and recomputed error per test point (None where
+    that model failed) and the selected eps per operator."""
     cfg = make_config(raw, list(overrides), seed)
     train = build_database(cfg, "train")
     db = fit_prom(train, build_companion_database(train, cfg, "validation"), cfg)
     report = run_benchmark(db, cfg)
-    interpolated = [e.get("interpolated") for e in report.errors]
-    return interpolated, [e.get("recomputed") for e in report.errors], db.validation.selected
+    per_model = [[e.get(kind) for e in report.errors] for kind in ("interpolated", "closest", "recomputed")]
+    return (*per_model, db.validation.selected)
 
 
 def _percent(error) -> str:
@@ -69,16 +70,18 @@ def main(argv=None) -> int:
     overrides = WORKLOADS[args.workload]["overrides"]
 
     print(
-        "seed  interpolated/recomputed error per test point (%)   selected eps "
+        "seed  interpolated/closest/recomputed error per test point (%)   selected eps "
         + " ".join(OPERATOR_NAMES)
     )
     all_errors = []
     for seed in args.seeds:
-        errors, recomputed, selected = seed_errors(raw, seed, overrides)
+        errors, closest, recomputed, selected = seed_errors(raw, seed, overrides)
         all_errors.extend(errors)
-        shown = " ".join(f"{_percent(e)}/{_percent(r)}" for e, r in zip(errors, recomputed))
+        shown = " ".join(
+            f"{_percent(e)}/{_percent(c)}/{_percent(r)}" for e, c, r in zip(errors, closest, recomputed)
+        )
         eps = " ".join(f"{selected[name]:.4g}" for name in OPERATOR_NAMES)
-        print(f"{seed:4d}  {shown:48s}   {eps}", flush=True)
+        print(f"{seed:4d}  {shown:62s}   {eps}", flush=True)
 
     finite = np.array([e for e in all_errors if e is not None])
     above = sum(e is None or e > ACCURACY_BOUND for e in all_errors)

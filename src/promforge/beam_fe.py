@@ -36,6 +36,7 @@ __all__ = [
 _GAUSS_POINTS = 5  # exact for the degree-8 stiffness/force integrands
 _STATIC_TOL_REL = 1e-9  # Newton residual tolerance relative to the load norm
 _STATIC_MAX_ITERATIONS = 25  # per load increment
+_STATIC_MAX_BISECTIONS = 6  # halvings of a diverging increment before giving up
 
 
 @dataclass(frozen=True)
@@ -376,12 +377,11 @@ def static_solve(
     assembly: CurvedBeamAssembly,
     load,
     q0=None,
-    max_bisections: int = 6,
 ) -> np.ndarray:
     """Solve internal_force(q) = load by Newton iteration with load stepping.
 
     The load is applied incrementally; a diverging increment is bisected up
-    to `max_bisections` times before giving up with NonConvergenceError.
+    to `_STATIC_MAX_BISECTIONS` times before giving up with NonConvergenceError.
     """
     load = np.asarray(load, dtype=float)
     if load.shape != (assembly.n,):
@@ -420,10 +420,10 @@ def static_solve(
         q_new = newton(q, attempt * load)
         if q_new is None:
             bisections += 1
-            if bisections > max_bisections:
+            if bisections > _STATIC_MAX_BISECTIONS:
                 raise NonConvergenceError(
                     f"static solve failed at load fraction {attempt:.4g} after "
-                    f"{max_bisections} bisections (load beyond the stable range?)",
+                    f"{_STATIC_MAX_BISECTIONS} bisections (load beyond the stable range?)",
                     context={"load_fraction": attempt},
                 )
             step /= 2.0

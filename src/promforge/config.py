@@ -293,7 +293,7 @@ def load_config(path, overrides=()) -> RunConfig:
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply `a.b.c=value` scalar overrides onto a copy of a raw config dict."""
-    data = copy.deepcopy(data or {})
+    data = copy.deepcopy(_mapping("config", data or {}))
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form path=value")

@@ -327,7 +327,11 @@ def _relative_l2(time_model, traces_model, time_ref, traces_ref) -> float:
 def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
     """Integrate the five model variants at every test point and compare.
 
-    The recomputed model is the point's `_matched_rom`, the ROM that
+    Each model builds its own operators inside its runner, so a model's
+    time covers building and integrating it, and each steps through its own
+    first period: the full model by its FE omega_1, a reduced model by
+    sqrt(min k1_diag).  No model's history depends on another's.  The
+    recomputed model is the point's `_matched_rom`, the ROM that
     `build_companion_database(db, cfg, "test")` builds; a failing model
     becomes a `failures` entry of its point.
     """
@@ -335,66 +339,50 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
         raise ValueError("database carries no fitted surrogate; run the fit step first")
     test = _draw(cfg, "test")
     physical = np.stack([denormalize(p, cfg.bounds()) for p in test.points])
+    run = cfg.integration
 
     histories, errors, periods, failures, timings, closest_ids = [], [], [], [], [], []
     for i, p_hat in enumerate(test.points):
-        fe = _fresh_point_fe(cfg, physical[i])
-        assembly, mass, stiffness, omegas = fe
-        mon_idx, mon_labels = assembly.monitor_dofs(cfg.monitors)
-        pulse = PulseLoad(
-            pattern=assembly.load_pattern(), amplitude=cfg.load.amplitude, t_pulse=cfg.load.t_pulse
-        )
-
-        alpha_fe, beta_fe = rayleigh_params(omegas[0], omegas[1], cfg.damping.zeta)
-        damping_full = alpha_fe * mass + beta_fe * stiffness
-
-        interp_ops = surrogate_failure = None
-        try:
-            interp_ops = evaluate_prom(db.prom, p_hat, structure_check=cfg.interpolation.structure_check)
-        except PromforgeError as exc:
-            surrogate_failure = exc
+        with _naming_sample("test", i, physical[i]):
+            fe = _fresh_point_fe(cfg, physical[i])
+            assembly, mass, stiffness, omegas = fe
+            mon_idx, mon_labels = assembly.monitor_dofs(cfg.monitors)
+            pulse = PulseLoad(
+                pattern=assembly.load_pattern(), amplitude=cfg.load.amplitude, t_pulse=cfg.load.t_pulse
+            )
+            alpha_fe, beta_fe = rayleigh_params(omegas[0], omegas[1], cfg.damping.zeta)
         closest = _nearest(db.points, p_hat)
         closest_ids.append(closest)
 
-        dt_hfm = (2.0 * np.pi / omegas[0]) / cfg.integration.hfm_steps_per_period
-        # one shared reduced-model step so stored and surrogate models land on
-        # the same grid; fall back to the stored neighbour if evaluation failed
-        dt_source = interp_ops if interp_ops is not None else db.roms[closest]
-        dt_rom = (2.0 * np.pi / np.sqrt(np.min(dt_source.k1_diag))) / cfg.integration.rom_steps_per_period
+        def integrate(model, omega_1, steps_per_period, model_kind):
+            dt = (2.0 * np.pi / omega_1) / steps_per_period
+            return newmark_integrate(model, run.t_span, dt, gamma=run.gamma, beta=run.beta, kind=model_kind)
 
         def hfm_run():
             model = ImplicitModel(
                 mass=mass,
-                damping=damping_full,
+                damping=alpha_fe * mass + beta_fe * stiffness,
                 force=assembly.internal_force,
                 tangent=assembly.tangent_stiffness,
                 load=pulse.at,
             )
-            hist = newmark_integrate(
-                model, cfg.integration.t_span, dt_hfm,
-                gamma=cfg.integration.gamma, beta=cfg.integration.beta, kind="hfm",
-            )
+            hist = integrate(model, omegas[0], run.hfm_steps_per_period, "hfm")
             return hist.time, hist.displacement[:, mon_idx]
 
         def rom_run(ops):
-            hist = newmark_integrate(
-                rom_model(ops, pulse.at), cfg.integration.t_span, dt_rom,
-                gamma=cfg.integration.gamma, beta=cfg.integration.beta, kind="rom",
-            )
+            omega_1 = np.sqrt(np.min(ops.k1_diag))
+            hist = integrate(rom_model(ops, pulse.at), omega_1, run.rom_steps_per_period, "rom")
             return hist.time, hist.displacement @ ops.basis[mon_idx, :].T
 
-        def surrogate():
-            # both surrogate models report the evaluate_prom failure itself
-            if surrogate_failure is not None:
-                raise surrogate_failure
-            return interp_ops
+        def interpolate():
+            return evaluate_prom(db.prom, p_hat, structure_check=cfg.interpolation.structure_check)
 
         runners = {
             "hfm": hfm_run,
-            "interpolated": lambda: rom_run(surrogate()),
+            "interpolated": lambda: rom_run(interpolate()),
             "closest": lambda: rom_run(db.roms[closest]),
             "recomputed": lambda: rom_run(_matched_rom(cfg, db, fe, p_hat, i)[1]),
-            "linear": lambda: rom_run(linearize(surrogate())),
+            "linear": lambda: rom_run(linearize(interpolate())),
         }
 
         point_hist, point_err, point_period, point_fail, point_time = {}, {}, {}, {}, {}
@@ -402,7 +390,7 @@ def run_benchmark(db: RomDatabase, cfg: RunConfig) -> BenchmarkReport:
             started = _time.perf_counter()
             try:
                 t_axis, traces = runners[kind]()
-            except (PromforgeError, np.linalg.LinAlgError, ValueError) as exc:
+            except (PromforgeError, ValueError) as exc:
                 point_fail[kind] = f"{type(exc).__name__}: {exc}"
                 continue
             point_time[kind] = _time.perf_counter() - started

@@ -436,4 +436,4 @@ def test_static_nonconvergence_reported():
     asm = make(1.0, 0.0, n_el=16)
     pattern = asm.load_pattern()
     with pytest.raises(NonConvergenceError):
-        static_solve(asm, pattern * 1e12, max_bisections=2)
+        static_solve(asm, pattern * 1e12)

@@ -145,6 +145,11 @@ def test_override_requires_assignment():
         apply_overrides({}, ["sampling.n_train"])
 
 
+def test_overrides_reject_a_non_mapping_document():
+    with pytest.raises(ValueError, match="^config must be a mapping, got list$"):
+        apply_overrides([1, 2], ["a.b=1"])
+
+
 def test_to_dict_round_trip():
     cfg = config_from_dict({"basis": {"k_pairs": 5}, "monitors": ["midspan_w", 3]})
     again = config_from_dict(cfg.to_dict())

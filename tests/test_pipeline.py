@@ -1,5 +1,9 @@
 import ast
+import copy
+import dataclasses
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -389,8 +393,7 @@ def test_recomputed_model_is_the_matched_test_rom(pipeline_result):
         asm = make_assembly(cfg, report.physical_points[i])
         mon_idx, _ = asm.monitor_dofs(cfg.monitors)
         pulse = PulseLoad(asm.load_pattern(), cfg.load.amplitude, cfg.load.t_pulse)
-        interp = evaluate_prom(db.prom, report.test_points[i], cfg.interpolation.structure_check)
-        dt = (2.0 * np.pi / np.sqrt(np.min(interp.k1_diag))) / run.rom_steps_per_period
+        dt = (2.0 * np.pi / np.sqrt(np.min(matched.k1_diag))) / run.rom_steps_per_period
 
         def response(ops):
             hist = newmark_integrate(rom_model(ops, pulse.at), run.t_span, dt, run.gamma, run.beta)
@@ -454,6 +457,78 @@ def test_benchmark_isolates_surrogate_failures():
         assert failure.count("StructureViolationError") == 1
     assert {"hfm", "closest", "recomputed"} <= set(report.histories[0])
     assert "closest" in report.errors[0] and "recomputed" in report.errors[0]
+
+
+def test_poisoned_surrogate_leaves_the_other_models_bit_identical(pipeline_result):
+    # each model steps through its own first period, so a failing surrogate
+    # moves no other model's history
+    cfg, db, healthy = pipeline_result
+    prom = copy.deepcopy(db.prom)
+    prom.offset["alpha"][:] = -1.0
+    prom.weights["alpha"][:] = 0.0
+    poisoned = run_benchmark(dataclasses.replace(db, prom=prom), cfg)
+    for before, after, fails in zip(healthy.histories, poisoned.histories, poisoned.failures):
+        assert set(fails) == {"interpolated", "linear"}
+        for kind in ("hfm", "closest", "recomputed"):
+            assert after[kind]["time"].tobytes() == before[kind]["time"].tobytes()
+            assert after[kind]["traces"].tobytes() == before[kind]["traces"].tobytes()
+
+
+def test_each_history_steps_through_its_own_first_period(pipeline_result):
+    cfg, db, report = pipeline_result
+    run = cfg.integration
+    test_db = build_companion_database(db, cfg, "test")
+
+    def rom_step(ops):
+        return (2.0 * np.pi / np.sqrt(np.min(ops.k1_diag))) / run.rom_steps_per_period
+
+    for i, per_point in enumerate(report.histories):
+        asm = make_assembly(cfg, report.physical_points[i])
+        omega_1 = solve_vms(asm.mass_matrix(), asm.linear_stiffness(), 2).omegas[0]
+        interp = evaluate_prom(db.prom, report.test_points[i], cfg.interpolation.structure_check)
+        steps = {
+            "hfm": (2.0 * np.pi / omega_1) / run.hfm_steps_per_period,
+            "interpolated": rom_step(interp),
+            "closest": rom_step(db.roms[report.closest_indices[i]]),
+            "recomputed": rom_step(test_db.roms[i]),
+            "linear": rom_step(interp),
+        }
+        for kind, dt in steps.items():
+            assert per_point[kind]["time"][1] == dt, kind
+
+
+def test_benchmark_integrations_carry_their_perfbench_label(monkeypatch, pipeline_result):
+    # perfbench labels a timer sample (kind, point, model) from the stack:
+    # newmark_integrate's `kind` keyword and run_benchmark's `i` and `kind`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "speed.py"
+    spec = importlib.util.spec_from_file_location("perfbench_speed", path)
+    speed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(speed)
+    cfg, db, report = pipeline_result
+    labels = []
+
+    def newmark_integrate(*args, kind=None, **kwargs):
+        labels.append(speed.integration_label(sys._getframe()))
+        return newmark.newmark_integrate(*args, kind=kind, **kwargs)
+
+    monkeypatch.setattr(pipeline, "newmark_integrate", newmark_integrate)
+    run_benchmark(db, cfg)
+    assert labels == [
+        ("hfm" if model == "hfm" else "rom", i, model)
+        for i in range(report.n_points)
+        for model in MODEL_KINDS
+    ]
+
+
+def test_benchmark_names_the_test_point_whose_setup_failed(monkeypatch, pipeline_result):
+    cfg, db, _ = pipeline_result
+
+    def fail(*args, **kwargs):
+        raise ValueError("eigen solve did not converge")
+
+    monkeypatch.setattr(pipeline, "solve_vms", fail)
+    with pytest.raises(ValueError, match=r"^test sample 0 \(p=.*\): eigen solve did not converge$"):
+        run_benchmark(db, cfg)
 
 
 def test_zero_damping_runs_every_model():
@@ -589,6 +664,14 @@ def test_cli_reports_malformed_yaml(tmp_path, capsys, text, extra):
     rc = cli_main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_reports_a_non_mapping_config_with_overrides(tmp_path, capsys):
+    cfg_path = tmp_path / "list.yaml"
+    cfg_path.write_text("[1, 2]\n")
+    rc = cli_main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--set", "a.b=1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config must be a mapping, got list")
 
 
 @pytest.mark.parametrize(
