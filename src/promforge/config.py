@@ -248,7 +248,7 @@ def _typed(name: str, value, kind: type):
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    data = _mapping("config", data or {})
+    data = _mapping("config", {} if data is None else data)
     kwargs = {}
     bounds = _mapping("bounds", data.pop("bounds", {}))
     _reject_unknown("bounds", bounds, ("p1", "p2"))
@@ -293,7 +293,7 @@ def load_config(path, overrides=()) -> RunConfig:
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply `a.b.c=value` scalar overrides onto a copy of a raw config dict."""
-    data = copy.deepcopy(_mapping("config", data or {}))
+    data = copy.deepcopy(_mapping("config", {} if data is None else data))
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form path=value")

@@ -256,7 +256,13 @@ def validate_eps(
     Only the predictions at the validation points are compared, so each
     grid value factors the kernel matrix Γ once and solves for the cardinal
     rows C = Γ_val·Γ⁻¹ (one row per validation point); every operator's
-    prediction is then offset + (D - offset)·Cᵀ, with no weight fit.
+    prediction is then offset + D·Cᵀ, D its centered training table, with
+    no weight fit.  Before the sweep each operator's D is factored once,
+    D = Q·R (thin QR), and E = exact - offset is reduced to G = QᵀE and
+    ρ² = colsum((E - Q·G)²), its part outside span(Q).  D·Cᵀ lies in that
+    span, so a grid value's squared defect norms are colsum((G - R·Cᵀ)²) + ρ²,
+    exact for a rank-deficient D too, from n_train × n_val matrices whatever
+    the operator's size.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0:
@@ -275,12 +281,14 @@ def validate_eps(
             )
 
     n_train = len(train_roms)
-    offsets, deviations, exact, exact_norms = {}, {}, {}, {}
+    spans = {}  # name -> (G, R, ρ², exact norms): all that a grid value reads
     for name, table in operator_tables(list(train_roms) + list(val_roms)).items():
-        offsets[name] = np.mean(table[:, :n_train], axis=1)
-        deviations[name] = table[:, :n_train] - offsets[name][:, None]
-        exact[name] = table[:, n_train:]
-        exact_norms[name] = np.maximum(np.linalg.norm(exact[name], axis=0), 1e-300)
+        offset = np.mean(table[:, :n_train], axis=1)
+        q, r = np.linalg.qr(table[:, :n_train] - offset[:, None])
+        e = table[:, n_train:] - offset[:, None]
+        g = q.T @ e
+        exact_norms = np.maximum(np.linalg.norm(table[:, n_train:], axis=0), 1e-300)
+        spans[name] = (g, r, np.sum((e - q @ g) ** 2, axis=0), exact_norms)
     distances = _center_distances(train_centers)
     val_distances = pairwise_distances(val_centers, train_centers)
 
@@ -296,8 +304,8 @@ def validate_eps(
                 continue
             cardinal = _solve_rows(factors, gamma, _radial(kernel_kind, eps, val_distances))
             for name in OPERATOR_NAMES:
-                approx = offsets[name][:, None] + deviations[name] @ cardinal.T
-                ratios = np.linalg.norm(exact[name] - approx, axis=0) / exact_norms[name]
+                g, r, rho_sq, exact_norms = spans[name]
+                ratios = np.sqrt(np.sum((g - r @ cardinal.T) ** 2, axis=0) + rho_sq) / exact_norms
                 if metric == "verbatim":
                     curves[name][k] = np.sqrt(np.sum(ratios))
                 else:

@@ -150,6 +150,25 @@ def test_overrides_reject_a_non_mapping_document():
         apply_overrides([1, 2], ["a.b=1"])
 
 
+@pytest.mark.parametrize("document", ["[]", "0", "''", "false"])
+@pytest.mark.parametrize(
+    "read",
+    [config_from_dict, lambda data: apply_overrides(data, [])],
+    ids=["config_from_dict", "apply_overrides"],
+)
+def test_a_falsy_non_mapping_document_is_no_default_study(document, read):
+    data = yaml.safe_load(document)
+    kind = type(data).__name__
+    with pytest.raises(ValueError, match=f"^config must be a mapping, got {kind}$"):
+        read(data)
+
+
+def test_an_empty_document_means_the_defaults():
+    assert yaml.safe_load("") is None
+    assert config_from_dict(None) == config_from_dict({})
+    assert apply_overrides(None, ["sampling.n_train=4"]) == {"sampling": {"n_train": 4}}
+
+
 def test_to_dict_round_trip():
     cfg = config_from_dict({"basis": {"k_pairs": 5}, "monitors": ["midspan_w", 3]})
     again = config_from_dict(cfg.to_dict())

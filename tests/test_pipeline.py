@@ -28,8 +28,10 @@ from promforge.pipeline import (
     run_benchmark,
     sample_rom,
 )
-from promforge.rbf import evaluate_prom
+from promforge.rbf import evaluate_prom, validate_eps
 from promforge.rom import rom_model
+
+from oracles import direct_validation
 
 SMALL = {
     "sampling": {"n_train": 4, "n_validation": 2, "n_test": 2},
@@ -341,6 +343,28 @@ def test_fit_selected_eps_inside_grid(pipeline_result):
     grid = cfg.eps_grid()
     for eps in db.validation.selected.values():
         assert eps in grid
+
+
+@pytest.mark.parametrize("metric", ["verbatim", "rms"])
+@pytest.mark.parametrize("kind", ["inverse_multiquadric", "gaussian"])
+def test_sweep_selects_what_direct_predictions_select(kind, metric):
+    # real operators on the full 50-value grid: the span-scored sweep picks
+    # the same eps and excludes the same grid values as full-length predictions
+    cfg = small_cfg(interpolation={"eps_count": 50, "kernel": kind, "error_metric": metric})
+    train = build_database(cfg, "train")
+    val = build_companion_database(train, cfg, "validation")
+    args = (train.roms, train.points, val.roms, val.points, cfg.eps_grid(), kind, metric,
+            cfg.interpolation.condition_limit)
+    report = validate_eps(*args)
+    curves, selected = direct_validation(*args)
+    assert report.selected == selected
+    for name, want in curves.items():
+        usable = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(report.curves[name]), usable, err_msg=name)
+        np.testing.assert_allclose(
+            report.curves[name][usable], want[usable], rtol=1e-9, atol=0.0, err_msg=name
+        )
+    assert fit_prom(train, val, cfg).validation.selected == selected
 
 
 # ----------------------------------------------------------------------

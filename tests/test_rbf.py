@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -28,6 +29,8 @@ from promforge.rbf import (
 )
 from promforge.rom import RomOperators
 from promforge.tensor_id import IdentifiedTensors, n_unique
+
+from oracles import direct_validation
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +448,71 @@ def test_rms_metric_variant(synthetic_prom):
     rms = validate_eps(train_roms, train, val_roms, val, eps_grid=grid, metric="rms")
     for name in OPERATOR_NAMES:
         assert not np.allclose(verbatim.curves[name], rms.curves[name])
+
+
+def random_rom(rng, n, m, p_hat, zero_damping, near=None):
+    """A ROM with standard-normal operator entries, or with `near`'s entries
+    moved by 1e-5 times standard-normal ones."""
+    sizes = {"k1": m, "k2": n_unique(m, 3), "k3": n_unique(m, 4), "v": n * m, "alpha": 1, "beta": 1}
+    base = dict.fromkeys(sizes, 0.0) if near is None else operator_vectors(near)
+    scale = 1.0 if near is None else 1e-5
+    e = {name: base[name] + scale * rng.standard_normal(size) for name, size in sizes.items()}
+    if zero_damping:
+        e["alpha"] = e["beta"] = np.zeros(1)
+    return RomOperators(
+        basis=e["v"].reshape(n, m), k1_diag=e["k1"],
+        tensors=IdentifiedTensors(m, e["k2"], e["k3"], "direct"),
+        alpha=float(e["alpha"][0]), beta=float(e["beta"][0]), p_hat=p_hat,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    metric=st.sampled_from(["verbatim", "rms"]),
+    n_train=st.integers(2, 12),
+    n_val=st.integers(1, 4),
+    m=st.integers(1, 6),
+    n=st.integers(1, 33),
+    duplicates=st.integers(0, 3),
+    zero_damping=st.booleans(),
+    near_training=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_validate_eps_matches_direct_predictions_on_random_tables(
+    kind, metric, n_train, n_val, m, n, duplicates, zero_damping, near_training, seed
+):
+    # rows: 1 (alpha, beta, and k1..k3 at m = 1) up to n·m = 198 (v), so also
+    # fewer rows than training samples; a duplicate training column makes the
+    # centered table rank-deficient beyond its centering; zero damping makes
+    # alpha and beta all-zero operators; a validation point at a training
+    # center with that sample's entries moved by 1e-5 leaves a defect that
+    # lies almost wholly outside the training span
+    rng = np.random.default_rng(seed)
+    train = rng.random((n_train, 2))
+    train_roms = [random_rom(rng, n, m, p, zero_damping) for p in train]
+    for j in range(1, min(duplicates + 1, n_train)):
+        train_roms[j] = dataclasses.replace(train_roms[0], p_hat=train[j])
+    if near_training:
+        val = train[np.arange(n_val) % n_train]
+        val_roms = [random_rom(rng, n, m, p, zero_damping, near=train_roms[i % n_train])
+                    for i, p in enumerate(val)]
+    else:
+        val = rng.random((n_val, 2))
+        val_roms = [random_rom(rng, n, m, p, zero_damping) for p in val]
+    grid = np.logspace(-1.0, 1.0, 7)
+    limit = RunConfig().interpolation.condition_limit
+    args = (train_roms, train, val_roms, val, grid, kind, metric, limit)
+    report = validate_eps(*args)
+    curves, _ = direct_validation(*args)
+    for name in OPERATOR_NAMES:
+        got, want = report.curves[name], curves[name]
+        usable = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), usable, err_msg=name)
+        np.testing.assert_allclose(got[usable], want[usable], rtol=1e-9, atol=0.0, err_msg=name)
+    if zero_damping:  # an all-zero operator scores 0, not NaN, at every usable eps
+        for name in ("alpha", "beta"):
+            assert not report.curves[name][np.isfinite(report.curves[name])].any()
 
 
 # ----------------------------------------------------------------------
