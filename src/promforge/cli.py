@@ -116,8 +116,9 @@ def cmd_inspect(args) -> int:
         print(f"  tensor identification: {db.roms[0].tensors.method}")
         print(f"  evaluations per sample: {db.counters['identification_evaluations']}")
         if db.prom is not None:
-            eps = {k: round(v, 6) for k, v in sorted(db.prom.eps.items())}
-            print(f"  surrogate: {db.prom.kind}, eps {eps}")
+            print(f"  surrogate: {db.prom.kind}, one kernel row and gemv per eps table")
+            for eps, names, _, table in db.prom.tables:
+                print(f"    eps {eps:.4g}: {' '.join(names)} ({table.shape[0]} rows)")
     elif kind == "benchmark_report":
         report = load_report(args.path)
         print(f"  test points: {report.n_points}, monitors: {report.monitors}")
@@ -162,7 +163,3 @@ def main(argv=None) -> int:
     except (PromforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

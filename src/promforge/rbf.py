@@ -12,7 +12,7 @@ analytically.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -129,10 +129,12 @@ class PromModel:
 
     The centers and the kernel kind are shared; `eps`, `offset`, `weights`
     and `condition` map each operator name to its shape parameter, training
-    mean, (n_entries, n_centers) weights and kernel matrix condition.  The
-    weights are stored column-major: a row holds only a few centers, so
-    `weights @ row` streams whole center columns instead of many tiny rows.
-    A query forms one kernel row per operator (OPERATOR_NAMES order).
+    mean, (n_entries, n_centers) weights and kernel matrix condition.
+    `tables` holds one (eps, names, rows, table) per distinct eps: the
+    weights of the operators that selected it, stacked column-major in
+    OPERATOR_NAMES order, so `table @ row` streams whole center columns.
+    All offsets sit in one vector in table order, `_slices` naming each
+    operator's rows; `weights` and `offset` hold views of these, not copies.
     """
 
     centers: np.ndarray  # (n_centers, n_params)
@@ -143,35 +145,47 @@ class PromModel:
     condition: dict
     n: int
     m: int
-    _eps: np.ndarray = field(init=False, repr=False, compare=False)  # (n_ops, 1)
-    _eps_sq: np.ndarray = field(init=False, repr=False, compare=False)  # Python eps**2
-    _rows: tuple = field(init=False, repr=False, compare=False)  # (offset, weights)
+    tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for fitted in (self.eps, self.offset, self.weights, self.condition):
             missing = set(OPERATOR_NAMES) - set(fitted)
             if missing:
                 raise ValueError(f"missing operators {sorted(missing)}")
-        self.weights = {
-            name: np.asfortranarray(self.weights[name], dtype=float) for name in OPERATOR_NAMES
-        }
         m = self.m
-        rows = (m, n_unique(m, 3), n_unique(m, 4), self.n * m, 1, 1)
-        for (name, weights), n_rows in zip(self.weights.items(), rows):
+        rows = dict(zip(OPERATOR_NAMES, (m, n_unique(m, 3), n_unique(m, 4), self.n * m, 1, 1)))
+        groups = {}  # eps -> the operators that selected it
+        for name, n_rows in rows.items():
             _check_kernel(self.kind, self.eps[name])
-            if weights.ndim != 2 or weights.shape[1] != len(self.centers):
-                raise ValueError(f"{name} weights {weights.shape} need one column per center")
-            if np.shape(self.offset[name]) != weights.shape[:1]:
+            shape = np.shape(self.weights[name])
+            if len(shape) != 2 or shape[1] != len(self.centers):
+                raise ValueError(f"{name} weights {shape} need one column per center")
+            if np.shape(self.offset[name]) != shape[:1]:
                 raise ValueError(
                     f"{name} offset {np.shape(self.offset[name])} needs one entry per weight row"
                 )
-            if weights.shape[0] != n_rows:
-                raise ValueError(
-                    f"{name} weights {weights.shape} need {n_rows} rows for n={self.n}, m={m}"
-                )
-        self._eps = np.array([[self.eps[name]] for name in OPERATOR_NAMES], dtype=float)
-        self._eps_sq = np.array([[self.eps[name] ** 2] for name in OPERATOR_NAMES], dtype=float)
-        self._rows = tuple((self.offset[name], self.weights[name]) for name in OPERATOR_NAMES)
+            if shape[0] != n_rows:
+                raise ValueError(f"{name} weights {shape} need {n_rows} rows for n={self.n}, m={m}")
+            groups.setdefault(self.eps[name], []).append(name)
+        self._slices, weights, tables, end = {}, {}, [], 0
+        for eps, names in groups.items():
+            table, top = np.empty((sum(rows[n] for n in names), len(self.centers)), order="F"), end
+            for name in names:
+                weights[name] = table[end - top:end - top + rows[name]]
+                weights[name][...] = self.weights[name]
+                self._slices[name], end = slice(end, end + rows[name]), end + rows[name]
+            tables.append((eps, tuple(names), slice(top, end), table))
+        self._offsets = np.concatenate([self.offset[name] for name in self._slices], dtype=float)
+        self.tables, self.weights = tuple(tables), {name: weights[name] for name in OPERATOR_NAMES}
+        self.offset = {name: self._offsets[self._slices[name]] for name in OPERATOR_NAMES}
+        self._eps = np.array([[eps] for eps in groups], dtype=float)  # one row per table
+        self._eps_sq = np.array([[eps**2] for eps in groups], dtype=float)  # Python eps**2
+
+    def __getstate__(self):  # a copy or pickle stacks its own tables, which its views share
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
 
 @dataclass
@@ -325,13 +339,19 @@ def validate_eps(
 
 
 def _query_point(centers: np.ndarray, p_hat) -> np.ndarray:
-    """A finite parameter point with one coordinate per center dimension."""
+    """A finite point, one coordinate per center dimension; outside the unit box it warns."""
     p_hat = np.asarray(p_hat, dtype=float)
     n_params = centers.shape[1]
     if p_hat.shape != (n_params,):
         raise ValueError(f"parameter point must have shape ({n_params},), got {p_hat.shape}")
     if not np.isfinite(p_hat).all():
         raise ValueError(f"parameter point {p_hat} has a non-finite coordinate")
+    if any(x < -1e-12 or x > 1.0 + 1e-12 for x in p_hat.tolist()):
+        warnings.warn(
+            f"evaluating outside the unit hypercube at {p_hat}: extrapolation",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return p_hat
 
 
@@ -348,22 +368,20 @@ def evaluate_prom(
     `structure_check` picks error/warn behaviour (warn returns the values
     as interpolated), and any other value raises ValueError.  Points outside the
     unit hypercube only warn (extrapolation); a point of the wrong shape or
-    with a non-finite coordinate raises ValueError.  Every operator comes
-    from one distance vector and one kernel row matrix, bit for bit what
-    offset + weights @ kernel row gives for each operator on its own.
+    with a non-finite coordinate raises ValueError.  A query forms one distance
+    vector, then one kernel row and one gemv per `model.tables` entry into one
+    vector that each operator slices; a table of one operator is its own product.
     """
     if structure_check not in ("error", "warn"):
         raise ValueError(f"structure_check must be 'error' or 'warn', not {structure_check!r}")
     p_hat = _query_point(model.centers, p_hat)
-    if any(x < -1e-12 or x > 1.0 + 1e-12 for x in p_hat.tolist()):
-        warnings.warn(
-            f"evaluating outside the unit hypercube at {p_hat}: extrapolation",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     d = model.centers - p_hat
     phi = _radial(model.kind, model._eps, np.sqrt(np.add.reduce(d * d, axis=1)))
-    k1_diag, k2, k3, v, alpha, beta = [o + w @ row for (o, w), row in zip(model._rows, phi)]
+    out = np.empty(model._offsets.size)
+    for (_, _, span, table), row in zip(model.tables, phi):
+        np.dot(table, row, out=out[span])
+    out += model._offsets
+    k1_diag, k2, k3, v, alpha, beta = (out[model._slices[name]] for name in OPERATOR_NAMES)
     tensors = IdentifiedTensors(model.m, k2, k3, method="interpolated")
     ops = RomOperators(
         basis=v.reshape(model.n, model.m), k1_diag=k1_diag, tensors=tensors,
@@ -379,9 +397,12 @@ def evaluate_prom(
 
 
 def prom_gradient(model: PromModel, p_hat) -> dict:
-    """Analytic d(entries)/d(p_hat) for every operator at one point."""
+    """Analytic d(entries)/d(p_hat) per operator: table @ (slope[:, None] * diff) per table."""
     p_hat = _query_point(model.centers, p_hat)
     diff = p_hat - model.centers  # (n_centers, n_params)
     delta = np.sqrt(np.add.reduce(diff * diff, axis=1))
     dgamma = _radial(model.kind, model._eps, delta, model._eps_sq)[:, :, None] * diff
-    return {name: w @ dg for name, (_, w), dg in zip(OPERATOR_NAMES, model._rows, dgamma)}
+    grads = np.empty((model._offsets.size, diff.shape[1]))
+    for (_, _, span, table), dg in zip(model.tables, dgamma):
+        np.dot(table, dg, out=grads[span])
+    return {name: grads[model._slices[name]] for name in OPERATOR_NAMES}

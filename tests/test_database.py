@@ -143,14 +143,18 @@ def test_database_round_trip_exact_values(tmp_path, small_db):
         np.testing.assert_array_equal(a.tensors.k3_unique, b.tensors.k3_unique)
         assert a.alpha == b.alpha and a.beta == b.beta
         assert a.tensors.eval_count == b.tensors.eval_count
-    # the surrogate round-trips exactly, with column-major weights
+    # the surrogate round-trips exactly, into column-major tables that each
+    # loaded weight matrix views
     np.testing.assert_array_equal(back.prom.centers, db.prom.centers)
     assert back.prom.kind == db.prom.kind
     assert back.prom.eps == db.prom.eps and back.prom.condition == db.prom.condition
     for name, weights in db.prom.weights.items():
         np.testing.assert_array_equal(back.prom.weights[name], weights)
-        assert back.prom.weights[name].flags.f_contiguous
         np.testing.assert_array_equal(back.prom.offset[name], db.prom.offset[name])
+    for _, names, _, table in back.prom.tables:
+        assert table.flags.f_contiguous
+        for name in names:
+            assert np.shares_memory(back.prom.weights[name], table), name
     np.testing.assert_array_equal(back.validation.eps_grid, db.validation.eps_grid)
     assert back.validation.selected == db.validation.selected
 

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -645,6 +646,13 @@ def test_cli_full_cycle(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "rom_database" in captured.out
+    # one line per eps table: its operators and rows (m = 8, n = 33)
+    assert captured.out.splitlines()[-4:] == [
+        "  surrogate: inverse_multiquadric, one kernel row and gemv per eps table",
+        "    eps 0.1931: k1 alpha beta (10 rows)",
+        "    eps 1.389: k2 v (384 rows)",
+        "    eps 0.5179: k3 (330 rows)",
+    ]
     rc = cli_main(["inspect", str(out / "bench.promdb")])
     assert rc == 0
 
@@ -652,6 +660,48 @@ def test_cli_full_cycle(tmp_path, capsys):
     assert db.prom is not None
     report = load_report(out / "bench.promdb")
     assert report.n_points == 2
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_writes_one_thread_bytes_from_a_plain_shell(tmp_path):
+    # `python -m promforge` pins one BLAS thread before numpy loads, so a run
+    # with no thread variable set writes what an explicit one-thread run
+    # writes.  The desk beam (117 DOFs) is large enough for OpenBLAS to split
+    # its products over threads, so on a multi-core host these bytes differ
+    # between thread counts; the small beam of SMALL's 12 elements is not.
+    import subprocess
+
+    root = Path(__file__).resolve().parents[1]
+    cfg_path, src = root / "configs" / "desk_study.yaml", str(root / "src")
+    overrides = ["--set", "sampling.n_train=3", "--set", "sampling.n_validation=1"]
+    outs = []
+    for pinned in (False, True):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if pinned:
+            env.update(dict.fromkeys(THREAD_VARS, "1"))
+        outs.append(tmp_path / f"pinned-{pinned}")
+        for verb in ("build", "fit"):
+            subprocess.run(
+                [sys.executable, "-m", "promforge", verb, "--config", str(cfg_path),
+                 "--out", str(outs[-1]), *overrides],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+    for name in ("train.promdb", "validation.promdb", "prom.promdb"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_cli_entry_keeps_a_thread_count_the_caller_set(monkeypatch):
+    import promforge.__main__ as entry
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    for var in THREAD_VARS[1:]:
+        monkeypatch.delenv(var, raising=False)
+    importlib.reload(entry)
+    assert [os.environ[var] for var in THREAD_VARS] == ["3", "1", "1"]
+    assert entry.main is cli_main
 
 
 def test_cli_set_override(tmp_path):

@@ -1,15 +1,18 @@
+import copy
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promforge.config import RunConfig
+from promforge.config import RunConfig, load_config
 from promforge.errors import IllConditionedError, StructureViolationError
 from promforge import rbf
 from promforge.params import lhs_sample
+from promforge.pipeline import build_companion_database, build_database, fit_prom
 from promforge.rbf import (
     KERNEL_KINDS,
     OPERATOR_NAMES,
@@ -230,23 +233,35 @@ def test_prom_interpolates_smooth_data_well(synthetic_prom):
         assert np.linalg.norm(a - b) < 0.05 * np.linalg.norm(b), name
 
 
-@pytest.mark.parametrize(
-    "point, outside",
-    [
-        pytest.param([1.4, 0.5], True, id="first-above"),
-        pytest.param([-0.1, 0.5], True, id="first-negative"),
-        pytest.param([0.5, 1.2], True, id="second-above"),
-        pytest.param([0.0, 0.0], False, id="corner-0"),
-        pytest.param([1.0, 1.0], False, id="corner-1"),
-    ],
-)
-def test_prom_warns_on_extrapolation(synthetic_prom, point, outside):
-    model, _, _ = synthetic_prom
+EXTRAPOLATION_CASES = [
+    pytest.param([1.4, 0.5], True, id="first-above"),
+    pytest.param([1.5, 0.5], True, id="first-above-1.5"),
+    pytest.param([-0.1, 0.5], True, id="first-negative"),
+    pytest.param([0.5, 1.2], True, id="second-above"),
+    pytest.param([0.0, 0.0], False, id="corner-0"),
+    pytest.param([1.0, 1.0], False, id="corner-1"),
+    pytest.param(None, False, id="training-center"),
+]
+
+
+def warns_extrapolation(query, synthetic_prom, point) -> bool:
+    """Whether query warns of extrapolation at point (None: the first training center)."""
+    model, _, train = synthetic_prom
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        evaluate_prom(model, np.array(point))
-    warned = [w for w in caught if w.category is RuntimeWarning and "extrapolation" in str(w.message)]
-    assert bool(warned) == outside
+        query(model, train[0] if point is None else np.asarray(point))
+    return any(w.category is RuntimeWarning and "extrapolation" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("point, outside", EXTRAPOLATION_CASES)
+def test_prom_warns_on_extrapolation(synthetic_prom, point, outside):
+    assert warns_extrapolation(evaluate_prom, synthetic_prom, point) == outside
+
+
+@pytest.mark.parametrize("point, outside", EXTRAPOLATION_CASES)
+def test_gradient_warns_on_extrapolation(synthetic_prom, point, outside):
+    # one rule for both queries, in _query_point; prom_gradient used to extrapolate silently
+    assert warns_extrapolation(prom_gradient, synthetic_prom, point) == outside
 
 
 # ----------------------------------------------------------------------
@@ -262,11 +277,12 @@ def kernel_slope(kind, eps, delta):
 
 def interpolant_evaluate(model, p_hat, name="k2"):
     """offset + weights @ kernel row of one operator, from its own distance
-    vector and kernel: what the fused query must give bit for bit."""
+    vector, kernel and column-major weights (a copy where the operator shares
+    a table): what the fused query must give bit for bit."""
     p_hat = _query_point(model.centers, p_hat)
     delta = np.linalg.norm(model.centers - p_hat[None, :], axis=1)
     row = _radial(model.kind, model.eps[name], delta)
-    return model.offset[name] + model.weights[name] @ row
+    return model.offset[name] + np.asfortranarray(model.weights[name]) @ row
 
 
 def interpolant_gradient(model, p_hat, name="k2"):
@@ -275,7 +291,7 @@ def interpolant_gradient(model, p_hat, name="k2"):
     diff = p_hat[None, :] - model.centers  # (n_centers, n_params)
     delta = np.linalg.norm(diff, axis=1)
     slope = kernel_slope(model.kind, model.eps[name], delta)
-    return model.weights[name] @ (slope[:, None] * diff)
+    return np.asfortranarray(model.weights[name]) @ (slope[:, None] * diff)
 
 
 @pytest.mark.parametrize("point", [[0.4], [0.4, 0.5, 0.6], [np.nan, 0.5], [0.4, np.inf]])
@@ -609,11 +625,12 @@ def test_weights_are_column_major_however_built(synthetic_prom):
     fitted, _, _ = synthetic_prom
     direct = random_prom("gaussian", 5, 3, 2, 2, np.random.default_rng(0))  # C-ordered input
     for model in (fitted, direct):
-        for name, (offset, weights) in zip(OPERATOR_NAMES, model._rows):
-            assert weights.flags.f_contiguous, name
-            # the fused query reads the model's own arrays, not copies
-            assert weights is model.weights[name]
-            assert offset is model.offset[name]
+        for _, names, span, table in model.tables:
+            assert table.flags.f_contiguous, names
+            # the query reads the tables that weights and offset view, not copies
+            for name in names:
+                assert model.weights[name].base is table, name
+                assert model.offset[name].base is model._offsets, name
 
 
 def test_prom_model_requires_all_operators():
@@ -625,12 +642,13 @@ def test_prom_model_requires_all_operators():
 
 
 def random_prom(kind, n_centers, n, m, n_params, rng, eps=None):
-    """Random weights and offsets with a distinct shape parameter per operator."""
+    """Random weights and offsets; a distinct shape parameter per operator
+    unless `eps` is given."""
     centers = rng.random((n_centers, n_params))
     sizes = {"k1": m, "k2": n_unique(m, 3), "k3": n_unique(m, 4), "v": n * m, "alpha": 1, "beta": 1}
     if eps is None:
         eps = rng.uniform(0.05, 4.0, len(OPERATOR_NAMES))
-    assert len(set(eps)) == len(OPERATOR_NAMES)
+        assert len(set(eps)) == len(OPERATOR_NAMES)
     weights, offset = {}, {}
     for name in OPERATOR_NAMES:
         weights[name] = rng.standard_normal((sizes[name], n_centers))
@@ -681,3 +699,101 @@ def test_fused_gradient_squares_each_eps_as_its_interpolant_does(kind):
     grads = prom_gradient(model, p)
     for name in OPERATOR_NAMES:
         np.testing.assert_array_equal(grads[name], interpolant_gradient(model, p, name), err_msg=name)
+
+
+# ----------------------------------------------------------------------
+# one table per distinct eps
+# ----------------------------------------------------------------------
+def gemv_bound(weights, kernel, offset=0.0):
+    """Rounding bound of one product entry, 4·n_centers·ε·(|offset| + |W|·|kernel|):
+    a stacked table may round an operator's rows apart from its own product."""
+    terms = np.abs(offset) + np.abs(weights) @ np.abs(kernel)
+    return 4 * weights.shape[1] * np.finfo(float).eps * terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    labels=st.lists(st.integers(0, 5), min_size=6, max_size=6),
+    n_centers=st.integers(1, 12),
+    n=st.integers(1, 8),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tables_match_per_operator_interpolants(kind, labels, n_centers, n, m, seed):
+    # labels give the six operators 1-6 distinct eps; operators sharing a label
+    # share one table, and an operator alone in its table is its own product
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.05, 4.0, 6)
+    model = random_prom(kind, n_centers, n, m, 2, rng, eps=[values[k] for k in labels])
+    assert len(model.tables) == len(set(labels))
+    p = rng.random(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # random operators lose positivity
+        got = operator_vectors(evaluate_prom(model, p, structure_check="warn"))
+    grads = prom_gradient(model, p)
+    diff = p - model.centers
+    delta = np.linalg.norm(diff, axis=1)
+    for name, label in zip(OPERATOR_NAMES, labels):
+        want, want_grad = interpolant_evaluate(model, p, name), interpolant_gradient(model, p, name)
+        if labels.count(label) == 1:
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+            np.testing.assert_array_equal(grads[name], want_grad, err_msg=name)
+            continue
+        w, eps = model.weights[name], model.eps[name]
+        row = _radial(kind, eps, delta)
+        assert np.all(np.abs(got[name] - want) <= gemv_bound(w, row, model.offset[name])), name
+        slope = kernel_slope(kind, eps, delta)[:, None] * diff
+        assert np.all(np.abs(grads[name] - want_grad) <= gemv_bound(w, slope)), name
+
+
+def test_random_prom_shares_one_table_per_eps():
+    eps = [0.5, 1.2, 0.5, 2.0, 1.2, 0.5]
+    model = random_prom("gaussian", 4, 3, 2, 2, np.random.default_rng(1), eps=eps)
+    assert [(e, names) for e, names, _, _ in model.tables] == [
+        (0.5, ("k1", "k3", "beta")), (1.2, ("k2", "alpha")), (2.0, ("v",)),
+    ]
+    for _, names, rows, table in model.tables:
+        assert table.shape == (sum(model.weights[n].shape[0] for n in names), 4)
+        # the views are the table's rows in order, and the offsets the same rows of one vector
+        np.testing.assert_array_equal(table, np.concatenate([model.weights[n] for n in names]))
+        assert rows.stop - rows.start == table.shape[0]
+        for name in names:
+            assert model.offset[name].base is model._offsets
+            assert rows.start <= model._slices[name].start < model._slices[name].stop <= rows.stop
+
+
+def test_deep_copy_stacks_its_own_tables(synthetic_prom):
+    # a poisoned copy must not touch the original; its views share the copy's tables
+    model, _, _ = synthetic_prom
+    before = operator_vectors(evaluate_prom(model, np.array([0.4, 0.6])))
+    poisoned = copy.deepcopy(model)
+    poisoned.offset["alpha"][:] = -1.0
+    poisoned.weights["alpha"][:] = 0.0
+    with pytest.raises(StructureViolationError):
+        evaluate_prom(poisoned, np.array([0.4, 0.6]))
+    after = operator_vectors(evaluate_prom(model, np.array([0.4, 0.6])))
+    for name in OPERATOR_NAMES:
+        np.testing.assert_array_equal(after[name], before[name])
+
+
+@pytest.fixture(scope="module")
+def desk_prom():
+    """The shipped desk study's fitted surrogate (workload seed 0)."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_study.yaml")
+    train = build_database(cfg, "train")
+    return fit_prom(train, build_companion_database(train, cfg, "validation"), cfg).prom
+
+
+def test_desk_query_is_its_per_operator_interpolants_bit_for_bit(desk_prom):
+    # every desk seed-0 operator selects one eps, so one table of
+    # 16 + 816 + 3876 + 1872 + 1 + 1 rows serves the whole query
+    assert [(names, table.shape) for _, names, _, table in desk_prom.tables] == [
+        (OPERATOR_NAMES, (6582, 10))
+    ]
+    points = np.random.default_rng([0, 1]).random((500, 2))  # perfbench's query_stream(0)
+    for p in points:
+        got = operator_vectors(evaluate_prom(desk_prom, p))
+        for name in OPERATOR_NAMES:
+            want = interpolant_evaluate(desk_prom, p, name)
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
