@@ -22,25 +22,24 @@ path is compared at many points, not only at the test points.
         --workload offline-desk offline-dual-ed online-desk --seeds 0 1 2
 
 The containers are written to a temporary directory (`TMPDIR` applies).
-The script runs with one BLAS/OpenMP thread (`OPENBLAS_NUM_THREADS`,
-`OMP_NUM_THREADS`, `MKL_NUM_THREADS`) unless the caller sets a count, since
-the bits depend on it, and prints the setting as its first line.
+The script runs with one BLAS/OpenMP thread (`promforge.threads.pin`)
+unless the caller sets a count, since the bits depend on it, and prints the
+setting as its first line.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
 
+from promforge.threads import pin
+
 # One BLAS/OpenMP thread unless the caller set a count: the artifacts' bits
 # depend on the pool size, so this is set before numpy loads.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+THREADS = pin()
 
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
     raw = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
-    print("threads " + " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS), flush=True)
+    print(THREADS, flush=True)
 
     for workload in args.workload:
         spec = WORKLOADS[workload]

@@ -15,9 +15,8 @@ interpolation error and reduction error can be told apart, and the eps
 selected per operator.
 One summary line of the interpolated errors follows (median, maximum,
 points above the 5% bound).  The script runs with one BLAS/OpenMP thread
-(`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`) unless the
-caller sets a count, since the bits depend on it, and prints the setting
-first.
+(`promforge.threads.pin`) unless the caller sets a count, since the bits
+depend on it, and prints the setting first.
 
     PYTHONPATH=src python scripts/seed_errors.py            # seeds 0-19, about 3 min
     PYTHONPATH=src python scripts/seed_errors.py --seeds 0 1 10
@@ -27,15 +26,14 @@ first.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
+from promforge.threads import pin
+
 # One BLAS/OpenMP thread unless the caller set a count: the errors' bits
 # depend on the pool size, so this is set before numpy loads.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+THREADS = pin()
 
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
@@ -79,7 +77,7 @@ def main(argv=None) -> int:
     raw = yaml.safe_load(args.config.read_text(encoding="utf-8"))
     overrides = WORKLOADS[args.workload]["overrides"]
 
-    print("threads " + " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS))
+    print(THREADS)
     print(
         "seed  interpolated/closest/recomputed error per test point (%)   selected eps "
         + " ".join(OPERATOR_NAMES)

@@ -1,10 +1,9 @@
 """`promforge` and `python -m promforge`: the CLI at one BLAS/OpenMP thread
 unless the caller sets a count, since the artifacts' bits depend on it."""
 
-import os
+from promforge.threads import pin
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # before promforge.cli loads numpy
+pin()  # before promforge.cli loads numpy
 
 from promforge.cli import main  # noqa: E402
 

@@ -31,7 +31,7 @@ from .pipeline import (
 
 def _load_cfg(args):
     cfg = load_config(args.config, args.set or ())
-    out = Path(args.out) if args.out else Path(cfg.output_directory)
+    out = Path(args.out) if args.out else Path(cfg.output.directory)
     return cfg, out
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,11 @@ class IntegrationConfig:
 
 
 @dataclass(frozen=True)
+class OutputConfig:
+    directory: str = "out"  # artifacts land here unless --out is given
+
+
+@dataclass(frozen=True)
 class RunConfig:
     bounds_p1: tuple = (0.75, 1.5)
     bounds_p2: tuple = (0.0, 0.5)
@@ -109,8 +114,8 @@ class RunConfig:
     damping: DampingConfig = field(default_factory=DampingConfig)
     load: LoadConfig = field(default_factory=LoadConfig)
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
     monitors: tuple = ("midspan_w",)
-    output_directory: str = "out"
 
     def bounds(self) -> ParamBounds:
         return ParamBounds(
@@ -126,31 +131,13 @@ class RunConfig:
         """Canonical config-schema dict (reloadable via config_from_dict)."""
         return {
             "bounds": {"p1": list(self.bounds_p1), "p2": list(self.bounds_p2)},
-            "sampling": asdict(self.sampling),
-            "fe": asdict(self.fe),
-            "basis": asdict(self.basis),
-            "pod": asdict(self.pod),
-            "identification": asdict(self.identification),
-            "interpolation": asdict(self.interpolation),
-            "damping": asdict(self.damping),
-            "load": asdict(self.load),
-            "integration": asdict(self.integration),
+            **{name: asdict(getattr(self, name)) for name in _SECTIONS},
             "monitors": list(self.monitors),
-            "output": {"directory": self.output_directory},
         }
 
 
-_SECTIONS = {
-    "sampling": SamplingConfig,
-    "fe": FeConfig,
-    "basis": BasisConfig,
-    "pod": PodConfig,
-    "identification": IdentificationConfig,
-    "interpolation": InterpolationConfig,
-    "damping": DampingConfig,
-    "load": LoadConfig,
-    "integration": IntegrationConfig,
-}
+# YAML section name -> its dataclass: every RunConfig field with a default factory
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.default_factory is not MISSING}
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -158,10 +145,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for name, (lo, hi) in (("p1", cfg.bounds_p1), ("p2", cfg.bounds_p2)):
         if not lo < hi:
             errors.append(f"bounds for {name} must satisfy min < max")
-    s = cfg.sampling
-    for fieldname in ("n_train", "n_validation", "n_test"):
-        if getattr(s, fieldname) < 1:
-            errors.append(f"sampling.{fieldname} must be >= 1")
+    for role in ("train", "validation", "test"):
+        count, seed = cfg.sampling.role(role)
+        if count < 1:
+            errors.append(f"sampling.n_{role} must be >= 1")
+        if seed < 0:
+            errors.append(f"sampling.seed_{role} must be >= 0")
     if cfg.fe.n_elements < 4:
         errors.append("fe.n_elements must be >= 4")
     for fieldname in ("length", "width", "thickness", "youngs_modulus", "density"):
@@ -232,7 +221,8 @@ def _mapping(name: str, value) -> dict:
 
 
 def _typed(name: str, value, kind: type):
-    """`value` checked against its field's type; a bool is no number."""
+    """`value` checked against its field's type; a bool is no number, and a
+    number is finite."""
     if kind in (int, float) and isinstance(value, str):
         # YAML reads exponents without a sign (1.0e6) as strings
         try:
@@ -244,6 +234,8 @@ def _typed(name: str, value, kind: type):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -259,10 +251,10 @@ def config_from_dict(data: dict) -> RunConfig:
     for section, cls in _SECTIONS.items():
         if section in data:
             payload = _mapping(section, data.pop(section))
-            fields = cls.__dataclass_fields__
-            _reject_unknown(section, payload, fields)
+            known = cls.__dataclass_fields__
+            _reject_unknown(section, payload, known)
             for key, value in payload.items():
-                payload[key] = _typed(f"{section}.{key}", value, type(fields[key].default))
+                payload[key] = _typed(f"{section}.{key}", value, type(known[key].default))
             kwargs[section] = cls(**payload)
     if "monitors" in data:
         monitors = data.pop("monitors")
@@ -271,11 +263,6 @@ def config_from_dict(data: dict) -> RunConfig:
         ):
             raise ValueError(f"monitors must be a list of names or DOF indices, got {monitors!r}")
         kwargs["monitors"] = tuple(monitors)
-    if "output" in data:
-        out = _mapping("output", data.pop("output"))
-        _reject_unknown("output", out, ("directory",))
-        if "directory" in out:
-            kwargs["output_directory"] = _typed("output.directory", out["directory"], str)
     if data:
         raise ValueError(f"unknown top-level config keys: {sorted(data)}")
     return _validate(RunConfig(**kwargs))

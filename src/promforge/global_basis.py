@@ -20,7 +20,6 @@ from .modes import CompanionSet, ModeSet, fix_signs, pod_truncate
 from .params import pairwise_distances
 
 __all__ = [
-    "SnapshotMatrices",
     "GlobalBasis",
     "LocalBasis",
     "assemble_snapshots",
@@ -31,14 +30,6 @@ __all__ = [
     "match_to_reference",
     "reorder_local_bases",
 ]
-
-
-@dataclass
-class SnapshotMatrices:
-    """Unit-normalized stacked mode / companion snapshots, sample-major."""
-
-    modes: np.ndarray  # (n, sum of per-sample mode counts)
-    companions: np.ndarray  # (n, sum of per-sample companion counts)
 
 
 @dataclass
@@ -81,8 +72,9 @@ class LocalBasis:
 
 def assemble_snapshots(
     mode_sets: list[ModeSet], companion_sets: list[CompanionSet]
-) -> SnapshotMatrices:
-    """Stack per-sample basis vectors sample-major and unit-normalize columns."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mode and companion snapshot matrices: per-sample basis vectors stacked
+    sample-major, columns unit-normalized."""
     if len(mode_sets) != len(companion_sets):
         raise ValueError("need one companion set per mode set")
     n = mode_sets[0].shapes.shape[0]
@@ -94,15 +86,15 @@ def assemble_snapshots(
     companions = np.column_stack([cs.vectors for cs in companion_sets])
     modes = modes / np.linalg.norm(modes, axis=0)
     companions = companions / np.linalg.norm(companions, axis=0)
-    return SnapshotMatrices(modes, companions)
+    return modes, companions
 
 
 def build_global_rb(
-    snapshots: SnapshotMatrices, energy_modes: float, energy_companions: float
+    modes: np.ndarray, companions: np.ndarray, energy_modes: float, energy_companions: float
 ) -> GlobalBasis:
     """Two independent POD truncations concatenated into one global basis."""
-    lm, m_phi, e_phi, sv_phi = pod_truncate(snapshots.modes, energy_modes)
-    lt, m_theta, e_theta, sv_theta = pod_truncate(snapshots.companions, energy_companions)
+    lm, m_phi, e_phi, sv_phi = pod_truncate(modes, energy_modes)
+    lt, m_theta, e_theta, sv_theta = pod_truncate(companions, energy_companions)
     return GlobalBasis(
         vectors=np.column_stack([lm, lt]),
         m_modes=m_phi,

@@ -36,12 +36,10 @@ class ModeSet:
 
     shapes: np.ndarray  # (n, n_modes)
     omegas: np.ndarray  # rad/s, ascending
-    numbers: np.ndarray  # global mode numbers (0-based into the spectrum)
 
     def __post_init__(self):
         self.shapes = np.asarray(self.shapes, dtype=float)
         self.omegas = np.asarray(self.omegas, dtype=float)
-        self.numbers = np.asarray(self.numbers, dtype=np.int64)
         if np.any(np.diff(self.omegas) < 0):
             raise ValueError("frequencies must be ascending")
         if np.any(self.omegas < 0):
@@ -67,8 +65,7 @@ class ModeSet:
 class CompanionSet:
     """Companion vectors for the nonlinear response (SMDs or dual modes)."""
 
-    vectors: np.ndarray  # (n, n_companions)
-    kind: str  # "smd" | "dual"
+    vectors: np.ndarray  # (n, companion count)
     static_solves: int = 0  # nonlinear static solves made to compute them
 
     def __post_init__(self):
@@ -78,10 +75,6 @@ class CompanionSet:
         norms = np.linalg.norm(self.vectors, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("companion set has a zero column")
-
-    @property
-    def n_companions(self) -> int:
-        return self.vectors.shape[1]
 
 
 def fix_signs(columns: np.ndarray) -> np.ndarray:
@@ -128,7 +121,7 @@ def solve_vms(mass, stiffness, k: int) -> ModeSet:
     if w2[0] <= 0:
         raise ValueError("pencil is not positive definite")
     fix_signs(phi)
-    ms = ModeSet(shapes=phi, omegas=np.sqrt(w2), numbers=np.arange(k))
+    ms = ModeSet(shapes=phi, omegas=np.sqrt(w2))
     ms.validate(mass, stiffness)
     return ms
 
@@ -149,11 +142,7 @@ def select_vms(modes: ModeSet, mpfs, f_max: float, mpf_tol: float) -> ModeSet:
         raise EmptySelectionError(
             f"no modes selected: f_max={f_max} Hz is below the first participating mode"
         )
-    return ModeSet(
-        shapes=modes.shapes[:, keep],
-        omegas=modes.omegas[keep],
-        numbers=modes.numbers[keep],
-    )
+    return ModeSet(shapes=modes.shapes[:, keep], omegas=modes.omegas[keep])
 
 
 def compute_smd(assembly, phi_i, phi_j, h: float = 1e-8) -> np.ndarray:
@@ -231,4 +220,4 @@ def compute_dual_modes(
     snapshots = snapshots[:, keep] / norms[keep]
 
     vectors, _, _, _ = pod_truncate(snapshots, energy_threshold)
-    return CompanionSet(vectors=fix_signs(vectors), kind="dual", static_solves=len(residuals))
+    return CompanionSet(vectors=fix_signs(vectors), static_solves=len(residuals))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time as _time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +51,9 @@ __all__ = [
 
 
 def make_assembly(cfg: RunConfig, p_physical) -> CurvedBeamAssembly:
-    fe = cfg.fe
-    spec = BeamSpec(
-        length=fe.length,
-        width=fe.width,
-        thickness=fe.thickness,
-        youngs_modulus=fe.youngs_modulus,
-        density=fe.density,
-    )
+    spec = BeamSpec(**{f.name: getattr(cfg.fe, f.name) for f in fields(BeamSpec)})
     return CurvedBeamAssembly(
-        GeometryParams(float(p_physical[0]), float(p_physical[1])), fe.n_elements, spec
+        GeometryParams(float(p_physical[0]), float(p_physical[1])), cfg.fe.n_elements, spec
     )
 
 
@@ -157,7 +151,7 @@ def _sample_ingredients(cfg: RunConfig, assembly, counters):
                 for i, j in pairs
             ]
         )
-        companions = CompanionSet(vectors=thetas, kind="smd")
+        companions = CompanionSet(vectors=thetas)
         counters["smd_tangent_evaluations"] += 2 * len(pairs)
     else:
         companions = compute_dual_modes(
@@ -187,8 +181,10 @@ def build_database(cfg: RunConfig, role: str = "train") -> RomDatabase:
             ingredients.append((assembly, *_sample_ingredients(cfg, assembly, counters)))
     assemblies, masses, stiffnesses, mode_sets, companion_sets, fe_omega_pairs = zip(*ingredients)
 
-    snapshots = assemble_snapshots(mode_sets, companion_sets)
-    global_rb = build_global_rb(snapshots, cfg.pod.energy_modes, cfg.pod.energy_companions)
+    mode_snapshots, companion_snapshots = assemble_snapshots(mode_sets, companion_sets)
+    global_rb = build_global_rb(
+        mode_snapshots, companion_snapshots, cfg.pod.energy_modes, cfg.pod.energy_companions
+    )
 
     local_bases = []
     for i, p_phys in enumerate(physical):

@@ -4,13 +4,13 @@ BLAS thread count.  A value the caller set wins.  The variables only act if
 they are set before numpy loads, so a test run that imported numpy first
 stops here instead of running at another thread count unnoticed."""
 
-import os
 import sys
+
+from promforge.threads import VARIABLES, pin
 
 if "numpy" in sys.modules:
     raise RuntimeError(
         "numpy was imported before tests/conftest.py could pin one BLAS thread; "
-        "set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before starting"
+        f"set {', '.join(VARIABLES[:-1])} and {VARIABLES[-1]} before starting"
     )
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+pin()

@@ -1,10 +1,23 @@
 import copy
+import dataclasses
+import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from promforge.config import SamplingConfig, apply_overrides, config_from_dict, load_config
+from promforge.config import RunConfig, SamplingConfig, apply_overrides, config_from_dict, load_config
+
+# every section of the YAML schema and its float-valued keys
+SECTIONS = [f.name for f in dataclasses.fields(RunConfig) if f.default_factory is not dataclasses.MISSING]
+FLOAT_KEYS = [
+    f"{section}.{f.name}"
+    for section in SECTIONS
+    for f in dataclasses.fields(getattr(RunConfig(), section))
+    if type(f.default) is float
+]
 
 
 def test_defaults_validate():
@@ -182,3 +195,51 @@ def test_to_dict_is_yaml_and_json_clean():
     d = cfg.to_dict()
     json.dumps(d)
     yaml.safe_dump(d)
+
+
+def test_desk_config_dict_is_pinned():
+    # containers store this dict as sorted-key JSON; a schema change that
+    # moves a key or a value moves every container's bytes
+    d = load_config("configs/desk_study.yaml").to_dict()
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == "35322fdc5859dac925c35992493c467e64abb3ce10779ba3e90f10cf2186a47e"
+
+
+def test_yaml_round_trip_covers_every_section(tmp_path):
+    changed = [
+        "bounds.p2=[0.1, 0.4]",
+        "sampling.seed_test=7",
+        "fe.density=2500.0",
+        "basis.k_pairs=4",
+        "pod.energy_modes=0.99",
+        "identification.method=ed",
+        "interpolation.kernel=gaussian",
+        "damping.zeta=0.02",
+        "load.t_pulse=0.01",
+        "integration.gamma=0.6",
+        "output.directory=elsewhere",
+        "monitors=[midspan_w, 3]",
+    ]
+    assert [re.split("[.=]", item)[0] for item in changed] == ["bounds", *SECTIONS, "monitors"]
+    cfg = config_from_dict(apply_overrides({}, changed))
+    assert cfg.output.directory == "elsewhere"
+    default = config_from_dict({})
+    assert all(getattr(cfg, name) != getattr(default, name) for name in SECTIONS)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg.to_dict()), encoding="utf-8")
+    assert load_config(path) == cfg
+    assert list(cfg.to_dict()) == ["bounds", *SECTIONS, "monitors"]
+
+
+@pytest.mark.parametrize("raw", [".nan", ".inf", "-.inf", "'nan'"])
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["bounds.p1", "bounds.p2"])
+def test_rejects_non_finite_numbers_naming_the_key(key, raw):
+    value = f"[{raw}, 1.5]" if key.startswith("bounds") else raw
+    with pytest.raises(ValueError, match=f"^{key} must be a finite number, got -?(nan|inf)$"):
+        config_from_dict(apply_overrides({}, [f"{key}={value}"]))
+
+
+@pytest.mark.parametrize("role", ["train", "validation", "test"])
+def test_rejects_a_negative_seed_naming_the_key(role):
+    with pytest.raises(ValueError, match=f"sampling.seed_{role} must be >= 0"):
+        config_from_dict({"sampling": {f"seed_{role}": -1}})

@@ -29,7 +29,7 @@ def sample_basis_sets(assemblies, n_modes=3, k_pairs=2):
             [compute_smd(asm, ms.shapes[:, i], ms.shapes[:, j]) for i, j in pairs]
         )
         mode_sets.append(ms)
-        comp_sets.append(CompanionSet(vectors=thetas, kind="smd"))
+        comp_sets.append(CompanionSet(vectors=thetas))
     return mode_sets, comp_sets
 
 
@@ -39,11 +39,11 @@ def sample_basis_sets(assemblies, n_modes=3, k_pairs=2):
 def test_assemble_snapshot_shapes():
     asm = beam_at(1.0, 0.1)
     mode_sets, comp_sets = sample_basis_sets([asm], n_modes=3, k_pairs=2)
-    snaps = assemble_snapshots(mode_sets, comp_sets)
-    assert snaps.modes.shape == (asm.n, 3)
-    assert snaps.companions.shape == (asm.n, 2)
-    np.testing.assert_allclose(np.linalg.norm(snaps.modes, axis=0), 1.0, atol=1e-14)
-    np.testing.assert_allclose(np.linalg.norm(snaps.companions, axis=0), 1.0, atol=1e-14)
+    modes, companions = assemble_snapshots(mode_sets, comp_sets)
+    assert modes.shape == (asm.n, 3)
+    assert companions.shape == (asm.n, 2)
+    np.testing.assert_allclose(np.linalg.norm(modes, axis=0), 1.0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(companions, axis=0), 1.0, atol=1e-14)
 
 
 def test_assemble_snapshot_many_samples_column_count():
@@ -51,19 +51,14 @@ def test_assemble_snapshot_many_samples_column_count():
     rng = np.random.default_rng(0)
     n = 40
     mode_sets = [
-        ModeSet(
-            shapes=rng.standard_normal((n, 6)),
-            omegas=np.sort(rng.random(6)),
-            numbers=np.arange(6),
-        )
+        ModeSet(shapes=rng.standard_normal((n, 6)), omegas=np.sort(rng.random(6)))
         for _ in range(14)
     ]
     comp_sets = [
-        CompanionSet(vectors=rng.standard_normal((n, 2)), kind="smd")
-        for _ in range(14)
+        CompanionSet(vectors=rng.standard_normal((n, 2))) for _ in range(14)
     ]
-    snaps = assemble_snapshots(mode_sets, comp_sets)
-    assert snaps.modes.shape == (n, 84)
+    modes, _ = assemble_snapshots(mode_sets, comp_sets)
+    assert modes.shape == (n, 84)
 
 
 def test_assemble_snapshots_rejects_row_mismatch():
@@ -104,8 +99,7 @@ def test_pod_rejects_zero_matrix():
 def test_global_rb_blocks_orthonormal():
     assemblies = [beam_at(p, 0.1) for p in (0.4, 0.9, 1.4)]
     mode_sets, comp_sets = sample_basis_sets(assemblies)
-    snaps = assemble_snapshots(mode_sets, comp_sets)
-    gb = build_global_rb(snaps, 0.999, 0.99)
+    gb = build_global_rb(*assemble_snapshots(mode_sets, comp_sets), 0.999, 0.99)
     vm_block = gb.vectors[:, : gb.m_modes]
     comp_block = gb.vectors[:, gb.m_modes :]
     np.testing.assert_allclose(vm_block.T @ vm_block, np.eye(gb.m_modes), atol=1e-10)
@@ -118,8 +112,7 @@ def test_global_rb_identical_snapshots_collapse():
     # no parametric variation: retained counts equal the per-sample counts
     asm = beam_at(1.0, 0.2)
     mode_sets, comp_sets = sample_basis_sets([asm], n_modes=3, k_pairs=2)
-    snaps = assemble_snapshots(mode_sets * 4, comp_sets * 4)
-    gb = build_global_rb(snaps, 0.999, 0.999)
+    gb = build_global_rb(*assemble_snapshots(mode_sets * 4, comp_sets * 4), 0.999, 0.999)
     assert gb.m_modes == 3
     assert gb.m_companions == 2
 
@@ -131,8 +124,7 @@ def test_global_rb_identical_snapshots_collapse():
 def global_setup():
     assemblies = [beam_at(p1, p2) for p1, p2 in ((0.4, 0.0), (0.9, 0.25), (1.4, 0.5))]
     mode_sets, comp_sets = sample_basis_sets(assemblies)
-    snaps = assemble_snapshots(mode_sets, comp_sets)
-    gb = build_global_rb(snaps, 0.9999, 0.999)
+    gb = build_global_rb(*assemble_snapshots(mode_sets, comp_sets), 0.9999, 0.999)
     return assemblies, gb
 
 
@@ -215,8 +207,7 @@ def _shuffle_recovery(perturbation, seed):
     asm = beam_at(0.9, 0.25)
     M, K = asm.mass_matrix(), asm.linear_stiffness()
     mode_sets, comp_sets = sample_basis_sets([asm])
-    snaps = assemble_snapshots(mode_sets, comp_sets)
-    gb = build_global_rb(snaps, 0.9999, 0.999)
+    gb = build_global_rb(*assemble_snapshots(mode_sets, comp_sets), 0.9999, 0.999)
     base = mass_orthogonalize(gb.vectors, M, K)
     m = gb.m
 

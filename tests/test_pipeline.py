@@ -31,6 +31,7 @@ from promforge.pipeline import (
 )
 from promforge.rbf import evaluate_prom, validate_eps
 from promforge.rom import rom_model
+from promforge.threads import VARIABLES
 
 from oracles import direct_validation
 
@@ -662,9 +663,6 @@ def test_cli_full_cycle(tmp_path, capsys):
     assert report.n_points == 2
 
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def test_cli_writes_one_thread_bytes_from_a_plain_shell(tmp_path):
     # `python -m promforge` pins one BLAS thread before numpy loads, so a run
     # with no thread variable set writes what an explicit one-thread run
@@ -678,10 +676,10 @@ def test_cli_writes_one_thread_bytes_from_a_plain_shell(tmp_path):
     overrides = ["--set", "sampling.n_train=3", "--set", "sampling.n_validation=1"]
     outs = []
     for pinned in (False, True):
-        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env = {k: v for k, v in os.environ.items() if k not in VARIABLES}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         if pinned:
-            env.update(dict.fromkeys(THREAD_VARS, "1"))
+            env.update(dict.fromkeys(VARIABLES, "1"))
         outs.append(tmp_path / f"pinned-{pinned}")
         for verb in ("build", "fit"):
             subprocess.run(
@@ -696,12 +694,26 @@ def test_cli_writes_one_thread_bytes_from_a_plain_shell(tmp_path):
 def test_cli_entry_keeps_a_thread_count_the_caller_set(monkeypatch):
     import promforge.__main__ as entry
 
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    for var in THREAD_VARS[1:]:
+    monkeypatch.setenv(VARIABLES[0], "3")
+    for var in VARIABLES[1:]:
         monkeypatch.delenv(var, raising=False)
     importlib.reload(entry)
-    assert [os.environ[var] for var in THREAD_VARS] == ["3", "1", "1"]
+    assert [os.environ[var] for var in VARIABLES] == ["3", "1", "1"]
     assert entry.main is cli_main
+
+
+def test_thread_variables_are_named_only_in_promforge_threads():
+    # one pin for the CLI, the scripts and the suite; perfbench keeps its own
+    root = Path(__file__).resolve().parents[1]
+    spelled = [
+        f"{path.relative_to(root)}: {var}"
+        for folder in ("src", "scripts", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+        if path.relative_to(root) != Path("src/promforge/threads.py")
+        for var in VARIABLES
+        if var in path.read_text(encoding="utf-8")
+    ]
+    assert spelled == []
 
 
 def test_cli_set_override(tmp_path):
