@@ -11,7 +11,9 @@ The rest of the pipeline sees the structure only through eight members of
 `internal_force(q)`, `tangent_stiffness(q)`, `probe_scales(vectors,
 multiple)`, `load_pattern()` and `monitor_dofs(monitors)`.  Every geometry
 rule (thickness, transverse DOFs, node positions) stays behind them; only
-the test suite reads element-level internals.
+the test suite reads element-level internals.  The structure's schema lives
+here too: the run configuration's `fe` section is a `BeamSpec`, its bounds
+keys are `GeometryParams`' fields and its monitor names are `MONITORS`' keys.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import NonConvergenceError
 __all__ = [
     "GeometryParams",
     "BeamSpec",
+    "MONITORS",
     "CurvedBeamAssembly",
     "PulseLoad",
     "initial_shape",
@@ -38,6 +41,10 @@ _STATIC_TOL_REL = 1e-9  # Newton residual tolerance relative to the load norm
 _STATIC_MAX_ITERATIONS = 25  # per load increment
 _STATIC_MAX_BISECTIONS = 6  # halvings of a diverging increment before giving up
 
+# named monitors: (position as a fraction of the length, component 0=u 1=w);
+# the first is the run configuration's default
+MONITORS = {"midspan_w": (0.5, 1), "quarter_w": (0.25, 1), "quarter_u": (0.25, 0)}
+
 
 @dataclass(frozen=True)
 class GeometryParams:
@@ -49,8 +56,9 @@ class GeometryParams:
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Section and material constants of the desk-scale beam."""
+    """Mesh, section and material constants of the desk-scale beam."""
 
+    n_elements: int = 40
     length: float = 0.4  # m
     width: float = 0.02  # m
     thickness: float = 8.0e-4  # m
@@ -58,6 +66,8 @@ class BeamSpec:
     density: float = 2700.0  # kg/m^3
 
     def __post_init__(self):
+        if self.n_elements < 4:
+            raise ValueError("n_elements must be >= 4 to host the clamped ends")
         for name in ("length", "width", "thickness", "youngs_modulus", "density"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -139,13 +149,10 @@ class CurvedBeamAssembly:
     evaluation methods operate on free-DOF vectors of length ``n``.
     """
 
-    def __init__(self, geometry: GeometryParams, n_elements: int, spec: BeamSpec | None = None):
-        if n_elements < 4:
-            raise ValueError("n_elements must be >= 4 to host the clamped ends")
-        spec = spec if spec is not None else BeamSpec()
+    def __init__(self, geometry: GeometryParams, spec: BeamSpec = BeamSpec()):
         self.geometry = geometry
         self.spec = spec
-        self.n_elements = int(n_elements)
+        self.n_elements = spec.n_elements
 
         n_nodes = self.n_elements + 1
         self.nodes_x = np.linspace(0.0, spec.length, n_nodes)
@@ -257,12 +264,6 @@ class CurvedBeamAssembly:
 
     def monitor_dofs(self, monitors):
         """Map monitor names / raw free-DOF indices to indices and labels."""
-        L = self.spec.length
-        named = {
-            "midspan_w": (L / 2.0, 1),
-            "quarter_w": (L / 4.0, 1),
-            "quarter_u": (L / 4.0, 0),
-        }
         indices, labels = [], []
         for mon in monitors:
             if isinstance(mon, (int, np.integer)):
@@ -270,9 +271,9 @@ class CurvedBeamAssembly:
                     raise ValueError(f"monitor index {mon} out of range")
                 indices.append(int(mon))
                 labels.append(f"dof{int(mon)}")
-            elif mon in named:
-                x_target, comp = named[mon]
-                node = int(np.argmin(np.abs(self.nodes_x - x_target)))
+            elif mon in MONITORS:
+                fraction, comp = MONITORS[mon]
+                node = int(np.argmin(np.abs(self.nodes_x - fraction * self.spec.length)))
                 indices.append(self.free_index(node, comp))
                 labels.append(mon)
             else:

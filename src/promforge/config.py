@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .beam_fe import MONITORS, BeamSpec, GeometryParams
 from .params import ParamBounds
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "apply_overrides"]
@@ -28,16 +29,6 @@ class SamplingConfig:
         if role not in ("train", "validation", "test"):
             raise ValueError(f"unknown sample role {role!r}")
         return getattr(self, f"n_{role}"), getattr(self, f"seed_{role}")
-
-
-@dataclass(frozen=True)
-class FeConfig:
-    n_elements: int = 40
-    length: float = 0.4
-    width: float = 0.02
-    thickness: float = 8.0e-4
-    youngs_modulus: float = 70.0e9
-    density: float = 2700.0
 
 
 @dataclass(frozen=True)
@@ -103,10 +94,9 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    bounds_p1: tuple = (0.75, 1.5)
-    bounds_p2: tuple = (0.0, 0.5)
+    param_bounds: tuple = ((0.75, 1.5), (0.0, 0.5))  # (min, max) per GeometryParams field
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    fe: FeConfig = field(default_factory=FeConfig)
+    fe: BeamSpec = field(default_factory=BeamSpec)
     basis: BasisConfig = field(default_factory=BasisConfig)
     pod: PodConfig = field(default_factory=PodConfig)
     identification: IdentificationConfig = field(default_factory=IdentificationConfig)
@@ -115,13 +105,14 @@ class RunConfig:
     load: LoadConfig = field(default_factory=LoadConfig)
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    monitors: tuple = ("midspan_w",)
+    monitors: tuple = tuple(MONITORS)[:1]
+
+    def __post_init__(self):
+        _validate(self)
 
     def bounds(self) -> ParamBounds:
-        return ParamBounds(
-            lower=[self.bounds_p1[0], self.bounds_p2[0]],
-            upper=[self.bounds_p1[1], self.bounds_p2[1]],
-        )
+        lower, upper = zip(*self.param_bounds)
+        return ParamBounds(lower=list(lower), upper=list(upper))
 
     def eps_grid(self) -> np.ndarray:
         c = self.interpolation
@@ -130,7 +121,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Canonical config-schema dict (reloadable via config_from_dict)."""
         return {
-            "bounds": {"p1": list(self.bounds_p1), "p2": list(self.bounds_p2)},
+            "bounds": {name: list(pair) for name, pair in zip(_PARAMS, self.param_bounds)},
             **{name: asdict(getattr(self, name)) for name in _SECTIONS},
             "monitors": list(self.monitors),
         }
@@ -138,11 +129,15 @@ class RunConfig:
 
 # YAML section name -> its dataclass: every RunConfig field with a default factory
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.default_factory is not MISSING}
+# the bounds keys: the structure's geometry parameters, in field order
+_PARAMS = [f.name for f in fields(GeometryParams)]
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
+def _validate(cfg: RunConfig) -> None:
     errors = []
-    for name, (lo, hi) in (("p1", cfg.bounds_p1), ("p2", cfg.bounds_p2)):
+    if len(cfg.param_bounds) != len(_PARAMS):
+        errors.append(f"bounds must give one [min, max] pair for each of {_PARAMS}")
+    for name, (lo, hi) in zip(_PARAMS, cfg.param_bounds):
         if not lo < hi:
             errors.append(f"bounds for {name} must satisfy min < max")
     for role in ("train", "validation", "test"):
@@ -151,11 +146,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
             errors.append(f"sampling.n_{role} must be >= 1")
         if seed < 0:
             errors.append(f"sampling.seed_{role} must be >= 0")
-    if cfg.fe.n_elements < 4:
-        errors.append("fe.n_elements must be >= 4")
-    for fieldname in ("length", "width", "thickness", "youngs_modulus", "density"):
-        if getattr(cfg.fe, fieldname) <= 0:
-            errors.append(f"fe.{fieldname} must be positive")
     b = cfg.basis
     if b.n_modes < 1:
         errors.append("basis.n_modes must be >= 1")
@@ -200,9 +190,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
             errors.append(f"integration.{fieldname} must be positive")
     if len(cfg.monitors) < 1:
         errors.append("at least one monitored dof required")
+    unknown = [mon for mon in cfg.monitors if isinstance(mon, str) and mon not in MONITORS]
+    if unknown:
+        errors.append(f"unknown monitors {unknown}: the named ones are {list(MONITORS)}")
     if errors:
         raise ValueError("invalid configuration:\n  " + "\n  ".join(errors))
-    return cfg
 
 
 def _reject_unknown(section: str, payload: dict, known) -> None:
@@ -221,8 +213,9 @@ def _mapping(name: str, value) -> dict:
 
 
 def _typed(name: str, value, kind: type):
-    """`value` checked against its field's type; a bool is no number, and a
-    number is finite."""
+    """`value` checked against its field's type; a bool is no number, a
+    number is finite, and an integer given for a float key is stored as a
+    float, so that 2700 and 2700.0 make the same config."""
     if kind in (int, float) and isinstance(value, str):
         # YAML reads exponents without a sign (1.0e6) as strings
         try:
@@ -234,6 +227,8 @@ def _typed(name: str, value, kind: type):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float:
+        value = float(value)
     if isinstance(value, float) and not np.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
@@ -243,11 +238,13 @@ def config_from_dict(data: dict) -> RunConfig:
     data = _mapping("config", {} if data is None else data)
     kwargs = {}
     bounds = _mapping("bounds", data.pop("bounds", {}))
-    _reject_unknown("bounds", bounds, ("p1", "p2"))
+    _reject_unknown("bounds", bounds, _PARAMS)
+    pairs = dict(zip(_PARAMS, RunConfig.param_bounds))
     for name, pair in bounds.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"bounds.{name} must be two numbers [min, max], got {pair!r}")
-        kwargs[f"bounds_{name}"] = tuple(float(_typed(f"bounds.{name}", x, float)) for x in pair)
+        pairs[name] = tuple(_typed(f"bounds.{name}", x, float) for x in pair)
+    kwargs["param_bounds"] = tuple(pairs.values())
     for section, cls in _SECTIONS.items():
         if section in data:
             payload = _mapping(section, data.pop(section))
@@ -255,7 +252,10 @@ def config_from_dict(data: dict) -> RunConfig:
             _reject_unknown(section, payload, known)
             for key, value in payload.items():
                 payload[key] = _typed(f"{section}.{key}", value, type(known[key].default))
-            kwargs[section] = cls(**payload)
+            try:
+                kwargs[section] = cls(**payload)
+            except ValueError as exc:  # a section's own rule, such as BeamSpec's
+                raise ValueError(f"{section}.{exc}") from None
     if "monitors" in data:
         monitors = data.pop("monitors")
         if not isinstance(monitors, (list, tuple)) or not all(
@@ -265,7 +265,7 @@ def config_from_dict(data: dict) -> RunConfig:
         kwargs["monitors"] = tuple(monitors)
     if data:
         raise ValueError(f"unknown top-level config keys: {sorted(data)}")
-    return _validate(RunConfig(**kwargs))
+    return RunConfig(**kwargs)
 
 
 def load_config(path, overrides=()) -> RunConfig:

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import time as _time
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams, PulseLoad
+from .beam_fe import CurvedBeamAssembly, GeometryParams, PulseLoad
 from .config import RunConfig
 from .database import MODEL_KINDS, BenchmarkReport, RomDatabase
 from .errors import DuplicateAssignmentError, PromforgeError
@@ -51,10 +50,7 @@ __all__ = [
 
 
 def make_assembly(cfg: RunConfig, p_physical) -> CurvedBeamAssembly:
-    spec = BeamSpec(**{f.name: getattr(cfg.fe, f.name) for f in fields(BeamSpec)})
-    return CurvedBeamAssembly(
-        GeometryParams(float(p_physical[0]), float(p_physical[1])), cfg.fe.n_elements, spec
-    )
+    return CurvedBeamAssembly(GeometryParams(*map(float, p_physical)), cfg.fe)
 
 
 def _draw(cfg: RunConfig, role: str):

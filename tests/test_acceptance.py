@@ -59,7 +59,7 @@ def desk():
 # ----------------------------------------------------------------------
 def test_criterion_1_oracle_tensor_equivalence():
     started = time.perf_counter()
-    asm = CurvedBeamAssembly(GeometryParams(1.1, 0.3), 40)  # 117 free dofs
+    asm = CurvedBeamAssembly(GeometryParams(1.1, 0.3), BeamSpec(n_elements=40))  # 117 free dofs
     assert 100 <= asm.n <= 300
     M, K = asm.mass_matrix(), asm.linear_stiffness()
     worst_eed = worst_ed = 0.0
@@ -161,7 +161,7 @@ def test_criterion_4_jacobian_consistency(desk):
     assert final_r < 1e-6
     assert np.all((ratios_r > 3.5) & (ratios_r < 4.5))
     # full-order model
-    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.25), 40)
+    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.25), BeamSpec(n_elements=40))
     q = rng.standard_normal(asm.n)
     q *= asm.spec.thickness / np.max(np.abs(q[asm.transverse_mask]))
     w = rng.standard_normal(asm.n)

@@ -19,7 +19,7 @@ SPEC = BeamSpec()
 
 
 def make(p1=1.0, p2=0.3, n_el=32):
-    return CurvedBeamAssembly(GeometryParams(p1, p2), n_el)
+    return CurvedBeamAssembly(GeometryParams(p1, p2), BeamSpec(n_elements=n_el))
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_initial_slope_matches_fd():
 
 def test_rejects_too_few_elements():
     with pytest.raises(ValueError):
-        CurvedBeamAssembly(GeometryParams(0.0, 0.0), 3)
+        CurvedBeamAssembly(GeometryParams(0.0, 0.0), BeamSpec(n_elements=3))
 
 
 def test_rejects_nonpositive_material():

@@ -133,7 +133,7 @@ def test_yaml_number_strings_keep_their_values():
     )
     assert cfg.fe.n_elements == 40 and type(cfg.fe.n_elements) is int
     assert cfg.fe.youngs_modulus == 7.0e10
-    assert cfg.bounds_p1 == (0.5, 1.0)
+    assert cfg.param_bounds[0] == (0.5, 1.0)
 
 
 def test_overrides_scalars():
@@ -203,6 +203,59 @@ def test_desk_config_dict_is_pinned():
     d = load_config("configs/desk_study.yaml").to_dict()
     digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
     assert digest == "35322fdc5859dac925c35992493c467e64abb3ce10779ba3e90f10cf2186a47e"
+
+
+def _digest(cfg: RunConfig) -> str:
+    return hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_an_integer_for_a_float_key_is_stored_as_a_float(key):
+    # how a number is spelled must not move the bytes of a container
+    section, name = key.split(".")
+    value = max(1, round(getattr(getattr(RunConfig(), section), name)))
+    spelled_int = config_from_dict(apply_overrides({}, [f"{key}={value}"]))
+    spelled_float = config_from_dict(apply_overrides({}, [f"{key}={float(value)}"]))
+    assert type(getattr(getattr(spelled_int, section), name)) is float
+    assert _digest(spelled_int) == _digest(spelled_float)
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got True$"):
+        config_from_dict(apply_overrides({}, [f"{key}=true"]))
+
+
+def test_integer_spellings_of_the_desk_values_keep_its_digest():
+    desk = load_config("configs/desk_study.yaml")
+    spelled = load_config("configs/desk_study.yaml", ["fe.density=2700", "load.amplitude=55"])
+    assert _digest(spelled) == _digest(desk)
+
+
+@pytest.mark.parametrize(
+    "fe, message",
+    [({"thickness": -1.0}, "fe.thickness must be positive"), ({"n_elements": 3}, "fe.n_elements must be >= 4")],
+)
+def test_the_beam_rules_are_reported_under_the_fe_section(fe, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        config_from_dict({"fe": fe})
+
+
+def test_a_replaced_config_is_validated_too():
+    # an unvalidated method or companion would fall through to the other route
+    cfg = config_from_dict({})
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(
+            cfg,
+            identification=dataclasses.replace(cfg.identification, method="EED"),
+            basis=dataclasses.replace(cfg.basis, companion="SMD"),
+        )
+    assert "identification.method" in str(info.value)
+    assert "basis.companion" in str(info.value)
+    with pytest.raises(ValueError, match="one \\[min, max\\] pair for each of"):
+        dataclasses.replace(cfg, param_bounds=cfg.param_bounds[:1])
+
+
+def test_an_unknown_monitor_name_is_rejected_at_load():
+    with pytest.raises(ValueError, match="unknown monitors \\['midspan_x'\\]"):
+        config_from_dict({"monitors": ["midspan_x"]})
+    assert config_from_dict({"monitors": ["quarter_u", 5]}).monitors == ("quarter_u", 5)
 
 
 def test_yaml_round_trip_covers_every_section(tmp_path):

@@ -30,7 +30,7 @@ def scaled_coords(asm, V, rng, scale=1.0):
 
 
 def test_projection_matches_black_box_force():
-    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 32)
+    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), BeamSpec(n_elements=32))
     V = modes_basis(asm, 6)
     k2u, k3u, asym = reduced_tensors_direct(asm, V)
     assert asym < 1e-10
@@ -49,7 +49,7 @@ def test_projection_matches_black_box_force():
 
 
 def test_basis_scaling_multilinearity():
-    asm = CurvedBeamAssembly(GeometryParams(0.8, 0.1), 24)
+    asm = CurvedBeamAssembly(GeometryParams(0.8, 0.1), BeamSpec(n_elements=24))
     V = modes_basis(asm, 4)
     k2u, k3u, _ = reduced_tensors_direct(asm, V)
     c = 2.5
@@ -59,7 +59,7 @@ def test_basis_scaling_multilinearity():
 
 
 def test_flat_beam_transverse_basis_has_no_quadratic_tensor():
-    flat = CurvedBeamAssembly(GeometryParams(0.0, 0.0), 24)
+    flat = CurvedBeamAssembly(GeometryParams(0.0, 0.0), BeamSpec(n_elements=24))
     V = modes_basis(flat, 4)
     V[flat.free_dofs % 3 == 0] = 0.0  # statically absent axial content
     k2u, k3u, _ = reduced_tensors_direct(flat, V)
@@ -68,7 +68,7 @@ def test_flat_beam_transverse_basis_has_no_quadratic_tensor():
 
 
 def test_curved_beam_has_quadratic_coupling():
-    curved = CurvedBeamAssembly(GeometryParams(1.0, 0.0), 24)
+    curved = CurvedBeamAssembly(GeometryParams(1.0, 0.0), BeamSpec(n_elements=24))
     V = modes_basis(curved, 4)
     V[curved.free_dofs % 3 == 0] = 0.0
     k2u, _, _ = reduced_tensors_direct(curved, V)
@@ -76,6 +76,6 @@ def test_curved_beam_has_quadratic_coupling():
 
 
 def test_dimension_mismatch_rejected():
-    asm = CurvedBeamAssembly(GeometryParams(0.5, 0.0), 16)
+    asm = CurvedBeamAssembly(GeometryParams(0.5, 0.0), BeamSpec(n_elements=16))
     with pytest.raises(ValueError):
         reduced_tensors_direct(asm, np.ones((asm.n + 1, 2)))

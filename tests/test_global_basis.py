@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from promforge.beam_fe import CurvedBeamAssembly, GeometryParams
+from promforge.beam_fe import BeamSpec, CurvedBeamAssembly, GeometryParams
 from promforge.errors import DegenerateSnapshotsError, DuplicateAssignmentError
 from promforge.global_basis import (
     assemble_snapshots,
@@ -16,7 +16,7 @@ from promforge.modes import CompanionSet, ModeSet, compute_smd, mpf, select_smds
 
 
 def beam_at(p1, p2, n_el=24):
-    return CurvedBeamAssembly(GeometryParams(p1, p2), n_el)
+    return CurvedBeamAssembly(GeometryParams(p1, p2), BeamSpec(n_elements=n_el))
 
 
 def sample_basis_sets(assemblies, n_modes=3, k_pairs=2):

@@ -21,12 +21,12 @@ SPEC = BeamSpec()
 
 @pytest.fixture(scope="module")
 def beam():
-    return CurvedBeamAssembly(GeometryParams(1.0, 0.2), 32)
+    return CurvedBeamAssembly(GeometryParams(1.0, 0.2), BeamSpec(n_elements=32))
 
 
 @pytest.fixture(scope="module")
 def flat():
-    return CurvedBeamAssembly(GeometryParams(0.0, 0.0), 32)
+    return CurvedBeamAssembly(GeometryParams(0.0, 0.0), BeamSpec(n_elements=32))
 
 
 class LinearBlackBox:

@@ -292,6 +292,29 @@ def test_no_src_module_reads_assembly_internals():
     assert reads == []
 
 
+def test_the_structure_schema_is_spelled_only_in_beam_fe():
+    # the beam owns its schema: no other module restates a BeamSpec or
+    # GeometryParams field or a monitor name
+    schema = {f.name for cls in (beam_fe.BeamSpec, beam_fe.GeometryParams) for f in dataclasses.fields(cls)}
+    schema |= set(beam_fe.MONITORS)
+    spelled = []
+    for path in sorted(Path(beam_fe.__file__).parent.glob("*.py")):
+        if path.name == "beam_fe.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            elif isinstance(node, ast.keyword):
+                name = node.arg
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id  # a dataclass field restating the schema
+            else:
+                continue
+            if name in schema:
+                spelled.append(f"{path.name}:{node.lineno} {name}")
+    assert spelled == []
+
+
 def test_no_src_function_body_imports():
     # patching a module's name (tests, the tracer) reaches only module-level imports
     nested = []
@@ -750,6 +773,15 @@ def test_cli_reports_malformed_yaml(tmp_path, capsys, text, extra):
     rc = cli_main(["build", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_rejects_an_unknown_monitor_before_building(tmp_path, capsys):
+    rc = cli_main(
+        ["build", "--config", "configs/desk_study.yaml", "--out", str(tmp_path / "out"), "--set", "monitors=[midspan_x]"]
+    )
+    assert rc == 1
+    assert "unknown monitors ['midspan_x']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_a_non_mapping_config_with_overrides(tmp_path, capsys):

@@ -28,7 +28,7 @@ from promforge.tensor_id import IdentifiedTensors, identify_eed
 
 @pytest.fixture(scope="module")
 def beam_rom():
-    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 32)
+    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), BeamSpec(n_elements=32))
     M, K = asm.mass_matrix(), asm.linear_stiffness()
     w2, phi = sla.eigh(K, M, subset_by_index=[0, 4])
     scales = asm.probe_scales(phi, 1.0)
@@ -504,7 +504,7 @@ def _nonlinear_rom_case(beam_rom):
 
 def _dense_full_model_case():
     """(driver model, dense reference model, t_span, dt) of a coarse beam under a pulse."""
-    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 8)
+    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), BeamSpec(n_elements=8))
     mass, stiffness = asm.mass_matrix(), asm.linear_stiffness()
     w2 = sla.eigh(stiffness, mass, eigvals_only=True, subset_by_index=[0, 1])
     alpha, beta = rayleigh_params(np.sqrt(w2[0]), np.sqrt(w2[1]), 0.01)

@@ -17,7 +17,7 @@ SPEC = BeamSpec()
 
 @pytest.fixture(scope="module")
 def beam_setup():
-    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), 32)
+    asm = CurvedBeamAssembly(GeometryParams(1.0, 0.3), BeamSpec(n_elements=32))
     M, K = asm.mass_matrix(), asm.linear_stiffness()
     _, phi = sla.eigh(K, M, subset_by_index=[0, 5])
     V = phi  # mass-normalized columns
